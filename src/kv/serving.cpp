@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -61,6 +62,8 @@ std::string client_value(std::uint64_t key, std::uint64_t version,
   return v;
 }
 
+constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
+
 void fnv_fold(std::uint64_t& h, const void* p, std::size_t n) {
   const auto* b = static_cast<const unsigned char*>(p);
   for (std::size_t i = 0; i < n; ++i) {
@@ -69,34 +72,40 @@ void fnv_fold(std::uint64_t& h, const void* p, std::size_t n) {
   }
 }
 
-/// Epoch-local op index meaning "shared group-commit flush, attributed to
-/// no single op" (its service shows up in makespan and the flush columns,
-/// not in a client's latency).
-constexpr std::uint32_t kNoOp = 0xffffffffu;
+/// Epoch-local op index of an epoch's closing group-commit flush: it runs
+/// after every op of the epoch, on behalf of none of them.
+constexpr std::uint32_t kClosingFlush = 0xffffffffu;
 constexpr std::uint64_t kNoStop = ~std::uint64_t{0};
 constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
 
 /// One resolved access of a shard's schedule. Addresses are LOCAL to the
-/// shard's controller (per-shard layouts bypass the interleave). `seq` is
-/// the global emission order — the crash-boundary granularity.
+/// shard's controller (per-shard layouts bypass the interleave). Its global
+/// sequence number — the crash-boundary granularity — is the first seq of
+/// `op` (a coordinator prefix sum) plus its rank among op's accesses.
 struct PlannedAccess {
-  enum Kind : std::uint8_t { kCommitRead, kRecordRead, kWrite };
+  enum Kind : std::uint8_t { kCommitRead, kRecordRead, kRecordWrite, kCommitWrite };
   Addr addr = 0;
-  std::uint64_t seq = 0;
-  std::uint32_t op = kNoOp;   // epoch-local op index
-  Kind kind = kWrite;
-  std::uint32_t offset = 0;   // commit-word byte offset (kCommitRead)
+  std::uint32_t op = kClosingFlush;  // epoch-local op whose resolution emitted it
+  Kind kind = kRecordWrite;
+  bool charged = true;        // service counts toward op's client latency
+  std::size_t slot = 0;       // kCommitRead: its slot; kCommitWrite: first slot
   std::uint64_t expect_word = 0;     // kCommitRead
   std::uint64_t expect_key = 0;      // kRecordRead
   std::uint64_t expect_version = 0;  // kRecordRead
-  Block data{};               // kWrite image
-  Cycle service = 0;
+  Block data{};               // write image
 };
 
 struct OpPlan {
   std::uint32_t client = 0;
   bool is_update = false;
   bool shed = false;
+};
+
+/// An admitted op handed to its home shard's resolve pass.
+struct ShardOp {
+  std::uint32_t op = 0;  // epoch-local op index
+  bool is_update = false;
+  std::uint64_t key = 0;
 };
 
 struct Client {
@@ -115,8 +124,11 @@ struct Shard {
   std::vector<std::uint64_t> durable;    // commit writes below stop_seq only
   std::vector<char> pending;             // slot has a buffered commit word
   std::vector<std::size_t> pending_slots;
-  std::uint64_t admitted = 0;            // this epoch
+  std::vector<ShardOp> ops;              // this epoch's admitted ops, op order
   std::uint64_t batched = 0;             // commit words coalesced, lifetime
+  std::uint64_t closing_accesses = 0;    // this epoch's closing flush size
+  std::uint64_t closing_seq = 0;         // its first global seq
+  LatencyHistogram batch_sizes;          // one sample per flushed window
   ShardServingStats stats;
   std::vector<PlannedAccess> queue;
   Cycle now = 0;
@@ -184,10 +196,6 @@ std::vector<std::uint32_t> route_keys(const ServingConfig& scfg) {
   return shard_of;
 }
 
-/// The whole engine: schedule resolution + (optionally) parallel replay.
-/// `mem` == nullptr plans only (no memory execution, no preload); stop_seq
-/// caps execution at the crash boundary — accesses with seq >= stop_seq
-/// are scheduled for durable-state bookkeeping but never issued.
 /// Reject nonsense configurations before anything divides by or allocates
 /// proportionally to the shard count — every public entry point calls this
 /// ahead of constructing MultiControllerMemory, whose constructor already
@@ -208,6 +216,30 @@ void validate_serving_config(const SystemConfig& cfg, const ServingConfig& scfg)
   }
 }
 
+/// The record image a slot holds for (key, version) — what preload and
+/// updates write and what every read of it must return.
+Block record_image(std::uint64_t key, std::uint64_t version, std::size_t value_bytes) {
+  return encode_record(KvRecord{key, version, client_value(key, version, value_bytes)});
+}
+
+/// Call fn(first, n) for every commit block of `words` that holds a nonzero
+/// word, in ascending order; `first` is its first slot, `n` its word count.
+template <typename Fn>
+void for_each_used_commit_block(const std::vector<std::uint64_t>& words, Fn&& fn) {
+  for (std::size_t first = 0; first < words.size(); first += KvLayout::kWordsPerCommitBlock) {
+    const std::size_t n = std::min(KvLayout::kWordsPerCommitBlock, words.size() - first);
+    const auto begin = words.begin() + static_cast<std::ptrdiff_t>(first);
+    if (std::any_of(begin, begin + static_cast<std::ptrdiff_t>(n),
+                    [](std::uint64_t w) { return w != 0; })) {
+      fn(first, n);
+    }
+  }
+}
+
+/// The whole engine (phases in serving.hpp and DESIGN.md §18). `mem` ==
+/// nullptr plans only (no memory execution, no preload writes); stop_seq
+/// caps execution at the crash boundary — accesses with seq >= stop_seq are
+/// scheduled but neither issued nor counted as durable.
 EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
                      std::uint64_t stop_seq, MultiControllerMemory* mem) {
   validate_serving_config(cfg, scfg);
@@ -217,60 +249,47 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
 
   const std::vector<std::uint32_t> shard_of = route_keys(scfg);
   std::vector<Shard> shards(scfg.shards);
-  for (Shard& sh : shards) {
+  for (std::uint64_t key = 0; key < scfg.keys; ++key) {
+    shards[shard_of[key]].keys.push_back(key);
+  }
+  std::vector<std::size_t> slot_of(scfg.keys, 0);  // filled per shard, own keys only
+  ShardGang gang(scfg.shards, scfg.jobs);
+
+  // Slot assignment and preload, each shard on its own worker and timeline.
+  // Slots come from per-shard linear probing in ascending key order, so the
+  // table image is independent of the routing policy's assignment order.
+  const std::uint64_t preload_word = CommitWord{1, 0, true}.encode();
+  gang.run_epoch([&](std::size_t s) {
+    Shard& sh = shards[s];
     sh.slot_key.assign(scfg.slots, kNoKey);
     sh.media.assign(scfg.slots, 0);
-    sh.logical.assign(scfg.slots, 0);
-    sh.durable.assign(scfg.slots, 0);
     sh.pending.assign(scfg.slots, 0);
-  }
-  // Slot assignment: per-shard linear probing in ascending key order, so
-  // the table image is independent of the routing policy's assignment
-  // order.
-  std::vector<std::size_t> slot_of(scfg.keys, 0);
-  for (std::uint64_t key = 0; key < scfg.keys; ++key) {
-    Shard& sh = shards[shard_of[key]];
-    std::size_t s = layout.home_slot(key);
-    while (sh.slot_key[s] != kNoKey) s = (s + 1) & (scfg.slots - 1);
-    sh.slot_key[s] = key;
-    slot_of[key] = s;
-    sh.keys.push_back(key);
-    ++sh.stats.keys;
-  }
-
-  // Preload every shard's records + commit blocks on its own timeline.
-  const std::uint64_t preload_word = CommitWord{1, 0, true}.encode();
-  for (std::uint32_t s = 0; s < scfg.shards; ++s) {
-    Shard& sh = shards[s];
     for (const std::uint64_t key : sh.keys) {
-      const std::size_t slot = slot_of[key];
-      sh.media[slot] = sh.logical[slot] = sh.durable[slot] = preload_word;
+      std::size_t slot = layout.home_slot(key);
+      while (sh.slot_key[slot] != kNoKey) slot = (slot + 1) & (scfg.slots - 1);
+      sh.slot_key[slot] = key;
+      slot_of[key] = slot;
+      sh.media[slot] = preload_word;
     }
-    if (mem == nullptr) continue;
-    SecureMemory& ctrl = mem->controller(s);
+    sh.logical = sh.media;
+    sh.durable = sh.media;
+    sh.stats.keys = sh.keys.size();
+    if (mem == nullptr) return;
+    MultiControllerMemory::ShardLease lease(*mem, static_cast<unsigned>(s));
+    SecureMemory& ctrl = lease.mem();
     Cycle t = 0;
     for (const std::uint64_t key : sh.keys) {
-      const KvRecord rec{key, 1, client_value(key, 1, scfg.value_bytes)};
-      t = ctrl.write_block(layout.record_addr(slot_of[key], 0), encode_record(rec), t);
+      t = ctrl.write_block(layout.record_addr(slot_of[key], 0),
+                           record_image(key, 1, scfg.value_bytes), t);
     }
-    const std::size_t nblocks =
-        (scfg.slots + KvLayout::kWordsPerCommitBlock - 1) / KvLayout::kWordsPerCommitBlock;
-    for (std::size_t blk = 0; blk < nblocks; ++blk) {
-      const std::size_t first = blk * KvLayout::kWordsPerCommitBlock;
-      const std::size_t n =
-          std::min(KvLayout::kWordsPerCommitBlock, scfg.slots - first);
-      bool any = false;
+    for_each_used_commit_block(sh.media, [&](std::size_t first, std::size_t n) {
       Block img{};
-      for (std::size_t w = 0; w < n; ++w) {
-        put_word(img, w * 8, sh.media[first + w]);
-        any = any || sh.media[first + w] != 0;
-      }
-      if (any) t = ctrl.write_block(layout.commit_block_addr(first), img, t);
-    }
+      for (std::size_t w = 0; w < n; ++w) put_word(img, w * 8, sh.media[first + w]);
+      t = ctrl.write_block(layout.commit_block_addr(first), img, t);
+    });
     ctrl.stats().reset();
-    mem->note_frontier(s, t);
-    sh.now = t;
-  }
+    lease.note_frontier(t);
+  });
   const Cycle start = mem != nullptr ? mem->max_frontier() : 0;
   for (Shard& sh : shards) sh.now = start;
 
@@ -282,12 +301,16 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
   const double upd_frac = update_fraction(scfg.mix);
 
   std::uint64_t next_seq = 0;
-  LatencyHistogram batch_sizes;
+  std::vector<OpPlan> plans;
+  // Per epoch-local op: its access count after the resolve pass, then (after
+  // the coordinator's prefix sum) the global seq of its first access.
+  std::vector<std::uint64_t> op_seq;
+  std::vector<Cycle> op_lat;
 
   // Flush a shard's group-commit window: one commit-block write per dirty
   // block (ascending), image materialized from the logical words. The
   // window's size is one batch-distribution sample.
-  const auto flush_window = [&](Shard& sh, std::uint32_t attribute_op) {
+  const auto flush_window = [&](Shard& sh, std::uint32_t op, bool charged) {
     if (sh.pending_slots.empty()) return;
     std::sort(sh.pending_slots.begin(), sh.pending_slots.end());
     std::size_t prev_block = ~std::size_t{0};
@@ -301,76 +324,149 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
           std::min(KvLayout::kWordsPerCommitBlock, scfg.slots - first);
       PlannedAccess w;
       w.addr = layout.commit_block_addr(first);
-      w.seq = next_seq++;
-      w.op = attribute_op;
-      w.kind = PlannedAccess::kWrite;
+      w.op = op;
+      w.kind = PlannedAccess::kCommitWrite;
+      w.charged = charged;
+      w.slot = first;
       for (std::size_t i = 0; i < n; ++i) put_word(w.data, i * 8, sh.logical[first + i]);
       for (std::size_t i = 0; i < n; ++i) sh.media[first + i] = sh.logical[first + i];
-      if (w.seq < stop_seq) {
-        for (std::size_t i = 0; i < n; ++i) sh.durable[first + i] = sh.logical[first + i];
-      }
       sh.queue.push_back(std::move(w));
       ++sh.stats.commit_writes;
     }
-    batch_sizes.add(sh.pending_slots.size());
+    sh.batch_sizes.add(sh.pending_slots.size());
     sh.batched += sh.pending_slots.size();
     ++sh.stats.commit_flushes;
     sh.pending_slots.clear();
   };
 
-  // Replay one shard's queue on its own controller, validating every read
-  // against the schedule. Queues are disjoint; the ShardGang barrier is
-  // the only synchronization.
-  const auto replay = [&](std::size_t s) {
-    if (mem == nullptr) return;
+  // Resolve one shard's admitted ops into its access queue, closing with the
+  // epoch's flush (an epoch boundary is a durability point). Reads and
+  // writes only this shard's state plus its ops' op_seq entries.
+  const auto resolve = [&](std::size_t s) {
     Shard& sh = shards[s];
-    MultiControllerMemory::ShardLease lease(*mem, static_cast<unsigned>(s));
-    SecureMemory& ctrl = lease.mem();
-    Cycle now = sh.now;
-    for (PlannedAccess& a : sh.queue) {
-      if (a.seq >= stop_seq) break;
-      if (a.kind == PlannedAccess::kWrite) {
-        const Cycle done = ctrl.write_block(a.addr, a.data, now);
-        a.service = done - now;
-        now = done;
-        continue;
+    sh.queue.clear();
+    for (const ShardOp& o : sh.ops) {
+      const std::size_t emitted_before = sh.queue.size();
+      const std::size_t slot = slot_of[o.key];
+      const CommitWord word = CommitWord::decode(sh.logical[slot]);
+      if (word.empty() || !word.live) {
+        throw std::logic_error("serving scheduled an op on a dead slot");
       }
-      Block b;
-      const Cycle done = ctrl.read_block(a.addr, now, &b);
-      a.service = done - now;
-      now = done;
-      if (a.kind == PlannedAccess::kCommitRead) {
-        if (word_at(b, a.offset) != a.expect_word) {
-          throw std::logic_error(
-              "serving replay read a commit word diverging from the schedule");
-        }
-      } else {
-        KvRecord rec;
-        if (!decode_record(b, &rec) || rec.key != a.expect_key ||
-            rec.version != a.expect_version) {
-          throw std::logic_error("serving replay read a corrupt or stale record");
+
+      if (o.is_update && sh.pending[slot]) {
+        // Second update to a buffered slot: its record write would target
+        // the replica the DURABLE commit word still points at. Force the
+        // window out first so the two-replica invariant holds at every
+        // crash boundary.
+        flush_window(sh, o.op, false);
+      }
+
+      if (!sh.pending[slot]) {
+        // Commit read from media; a buffered slot skips this (the word is
+        // served from the shard's volatile commit buffer — the group
+        // commit coalescing win on the read path).
+        PlannedAccess commit_read;
+        commit_read.addr = layout.commit_block_addr(slot);
+        commit_read.op = o.op;
+        commit_read.kind = PlannedAccess::kCommitRead;
+        commit_read.slot = slot;
+        commit_read.expect_word = sh.media[slot];
+        sh.queue.push_back(std::move(commit_read));
+      }
+
+      // Re-read the word: the forced flush above never changes it, but
+      // keep the single source of truth obvious.
+      const CommitWord cur = CommitWord::decode(sh.logical[slot]);
+      if (!o.is_update || scfg.mix == Mix::kF) {
+        PlannedAccess rec_read;
+        rec_read.addr = layout.record_addr(slot, cur.replica);
+        rec_read.op = o.op;
+        rec_read.kind = PlannedAccess::kRecordRead;
+        rec_read.expect_key = o.key;
+        rec_read.expect_version = cur.version;
+        sh.queue.push_back(std::move(rec_read));
+      }
+      if (o.is_update) {
+        const int replica = 1 - cur.replica;
+        PlannedAccess rec_write;
+        rec_write.addr = layout.record_addr(slot, replica);
+        rec_write.op = o.op;
+        rec_write.kind = PlannedAccess::kRecordWrite;
+        rec_write.data = record_image(o.key, cur.version + 1, scfg.value_bytes);
+        sh.queue.push_back(std::move(rec_write));
+
+        sh.logical[slot] = CommitWord{cur.version + 1, replica, true}.encode();
+        sh.pending[slot] = 1;
+        sh.pending_slots.push_back(slot);
+        if (scfg.group_commit_window == 0) {
+          flush_window(sh, o.op, true);  // batch of 1: the op owns its commit write
+        } else if (sh.pending_slots.size() >= scfg.group_commit_window) {
+          flush_window(sh, o.op, false);
         }
       }
+      op_seq[o.op] = sh.queue.size() - emitted_before;
     }
-    sh.now = now;
-    lease.note_frontier(now);
+    const std::size_t emitted_before = sh.queue.size();
+    flush_window(sh, kClosingFlush, false);
+    sh.closing_accesses = sh.queue.size() - emitted_before;
   };
 
-  ShardGang gang(scfg.shards, mem != nullptr ? scfg.jobs : 1);
+  // Replay one shard's queue prefix below stop_seq on its own controller,
+  // validating every read against the schedule; commit-block writes in that
+  // prefix are the durable state a crash at stop_seq leaves behind. With no
+  // controller (planning only) the durable bookkeeping runs alone.
+  const auto replay = [&](std::size_t s) {
+    Shard& sh = shards[s];
+    std::optional<MultiControllerMemory::ShardLease> lease;
+    if (mem != nullptr) lease.emplace(*mem, static_cast<unsigned>(s));
+    SecureMemory* ctrl = lease ? &lease->mem() : nullptr;
+    Cycle now = sh.now;
+    std::uint64_t seq = 0;
+    for (std::size_t i = 0; i < sh.queue.size(); ++i) {
+      const PlannedAccess& a = sh.queue[i];
+      if (i == 0 || a.op != sh.queue[i - 1].op) {
+        seq = a.op == kClosingFlush ? sh.closing_seq : op_seq[a.op];
+      }
+      if (seq++ >= stop_seq) break;
+      if (a.kind == PlannedAccess::kCommitWrite) {
+        const std::size_t n = std::min(KvLayout::kWordsPerCommitBlock, scfg.slots - a.slot);
+        for (std::size_t w = 0; w < n; ++w) sh.durable[a.slot + w] = word_at(a.data, w * 8);
+      }
+      if (ctrl == nullptr) continue;
+      Cycle done = 0;
+      if (a.kind == PlannedAccess::kRecordWrite || a.kind == PlannedAccess::kCommitWrite) {
+        done = ctrl->write_block(a.addr, a.data, now);
+      } else {
+        Block b;
+        done = ctrl->read_block(a.addr, now, &b);
+        if (a.kind == PlannedAccess::kCommitRead) {
+          if (word_at(b, layout.commit_word_offset(a.slot)) != a.expect_word) {
+            throw std::logic_error(
+                "serving replay read a commit word diverging from the schedule");
+          }
+        } else {
+          KvRecord rec;
+          if (!decode_record(b, &rec) || rec.key != a.expect_key ||
+              rec.version != a.expect_version) {
+            throw std::logic_error("serving replay read a corrupt or stale record");
+          }
+        }
+      }
+      if (a.charged) op_lat[a.op] += done - now;
+      now = done;
+    }
+    sh.now = now;
+    if (lease) lease->note_frontier(now);
+  };
 
-  std::vector<OpPlan> plans;
-  std::vector<Cycle> op_lat;
   ServingResult res;
   res.offered_ops = scfg.ops;
   for (std::uint64_t done_ops = 0; done_ops < scfg.ops;) {
     const std::uint64_t epoch_ops = std::min(scfg.epoch_ops, scfg.ops - done_ops);
     plans.clear();
-    for (Shard& sh : shards) {
-      sh.queue.clear();
-      sh.admitted = 0;
-    }
+    for (Shard& sh : shards) sh.ops.clear();
 
-    // Phase 1: resolve the epoch's schedule.
+    // Draw every op in global op order: client RNG, routing, admission.
     for (std::uint64_t e = 0; e < epoch_ops; ++e) {
       const auto op_idx = static_cast<std::uint32_t>(e);
       const auto cid = static_cast<std::uint32_t>((done_ops + e) % scfg.clients);
@@ -383,96 +479,37 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
       // Bounded admission: overload sheds the op into a typed degraded
       // verdict. The client RNG was already advanced identically, so the
       // rest of the schedule is unchanged by the shed.
-      if (scfg.queue_depth != 0 && sh.admitted >= scfg.queue_depth) {
+      if (scfg.queue_depth != 0 && sh.ops.size() >= scfg.queue_depth) {
         ++sh.stats.shed;
         sh.stats.degraded = true;
         plans.push_back(OpPlan{cid, is_update, true});
         continue;
       }
-      ++sh.admitted;
       ++sh.stats.ops;
       plans.push_back(OpPlan{cid, is_update, false});
-
-      const std::size_t slot = slot_of[key];
-      const CommitWord word = CommitWord::decode(sh.logical[slot]);
-      if (word.empty() || !word.live) {
-        throw std::logic_error("serving scheduled an op on a dead slot");
-      }
-
-      if (is_update && sh.pending[slot]) {
-        // Second update to a buffered slot: its record write would target
-        // the replica the DURABLE commit word still points at. Force the
-        // window out first so the two-replica invariant holds at every
-        // crash boundary.
-        flush_window(sh, kNoOp);
-      }
-
-      if (!sh.pending[slot]) {
-        // Commit read from media; a buffered slot skips this (the word is
-        // served from the shard's volatile commit buffer — the group
-        // commit coalescing win on the read path).
-        PlannedAccess commit_read;
-        commit_read.addr = layout.commit_block_addr(slot);
-        commit_read.seq = next_seq++;
-        commit_read.op = op_idx;
-        commit_read.kind = PlannedAccess::kCommitRead;
-        commit_read.offset = static_cast<std::uint32_t>(layout.commit_word_offset(slot));
-        commit_read.expect_word = sh.media[slot];
-        sh.queue.push_back(std::move(commit_read));
-      }
-
-      // Re-read the word: the forced flush above never changes it, but
-      // keep the single source of truth obvious.
-      const CommitWord cur = CommitWord::decode(sh.logical[slot]);
-      if (!is_update || scfg.mix == Mix::kF) {
-        PlannedAccess rec_read;
-        rec_read.addr = layout.record_addr(slot, cur.replica);
-        rec_read.seq = next_seq++;
-        rec_read.op = op_idx;
-        rec_read.kind = PlannedAccess::kRecordRead;
-        rec_read.expect_key = key;
-        rec_read.expect_version = cur.version;
-        sh.queue.push_back(std::move(rec_read));
-      }
-      if (is_update) {
-        const int replica = 1 - cur.replica;
-        const KvRecord rec{key, cur.version + 1,
-                           client_value(key, cur.version + 1, scfg.value_bytes)};
-        PlannedAccess rec_write;
-        rec_write.addr = layout.record_addr(slot, replica);
-        rec_write.seq = next_seq++;
-        rec_write.op = op_idx;
-        rec_write.kind = PlannedAccess::kWrite;
-        rec_write.data = encode_record(rec);
-        sh.queue.push_back(std::move(rec_write));
-
-        sh.logical[slot] = CommitWord{cur.version + 1, replica, true}.encode();
-        sh.pending[slot] = 1;
-        sh.pending_slots.push_back(slot);
-        if (scfg.group_commit_window == 0) {
-          flush_window(sh, op_idx);  // batch of 1: the op owns its commit write
-        } else if (sh.pending_slots.size() >= scfg.group_commit_window) {
-          flush_window(sh, kNoOp);
-        }
-      }
+      sh.ops.push_back(ShardOp{op_idx, is_update, key});
     }
-    // Epoch boundary is a durability point: every shard's window goes out.
-    for (Shard& sh : shards) flush_window(sh, kNoOp);
 
-    // Phase 2: replay each shard's queue behind the gang barrier.
+    // Resolve per shard, then turn per-op access counts into global seqs:
+    // ops in global op order, then the closing flushes in shard order.
+    op_seq.assign(epoch_ops, 0);
+    gang.run_epoch(resolve);
+    for (std::uint64_t e = 0; e < epoch_ops; ++e) {
+      const std::uint64_t n = op_seq[e];
+      op_seq[e] = next_seq;
+      next_seq += n;
+    }
+    for (Shard& sh : shards) {
+      sh.closing_seq = next_seq;
+      next_seq += sh.closing_accesses;
+    }
+
+    op_lat.assign(epoch_ops, 0);
     gang.run_epoch(replay);
 
-    // Epoch barrier: fold service times into per-client histograms in
-    // global op order. Group flushes (kNoOp) contribute to makespan and
-    // the flush columns, not to any single client's latency.
-    op_lat.assign(epoch_ops, 0);
-    for (const Shard& sh : shards) {
-      for (const PlannedAccess& a : sh.queue) {
-        if (a.seq >= stop_seq) break;
-        if (a.op == kNoOp) continue;
-        op_lat[a.op] += a.service;
-      }
-    }
+    // Epoch barrier: fold op latencies into per-client histograms in global
+    // op order. Uncharged flushes contribute to makespan and the flush
+    // columns, not to any single client's latency.
     if (mem != nullptr && stop_seq == kNoStop) {
       for (std::uint64_t e = 0; e < epoch_ops; ++e) {
         if (plans[e].shed) continue;
@@ -500,9 +537,9 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
   }
   res.all_lat.merge(res.read_lat);
   res.all_lat.merge(res.update_lat);
-  res.batch_sizes = batch_sizes;
   res.ops = res.reads + res.updates;
   for (Shard& sh : shards) {
+    res.batch_sizes.merge(sh.batch_sizes);
     res.shed_ops += sh.stats.shed;
     if (sh.stats.degraded) ++res.degraded_shards;
     res.commit_writes += sh.stats.commit_writes;
@@ -525,41 +562,46 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
       res.seconds > 0.0 ? static_cast<double>(res.ops) / res.seconds / 1e3 : 0.0;
   if (mem != nullptr) res.nvm_writes = mem->total_nvm_writes();
 
-  // Final durable-image digest: read every commit block and live record
-  // back from media, sequentially in shard order after the last barrier.
-  // Bit-identity across jobs values includes this digest.
+  // Final image: every shard reads back its commit blocks and live records
+  // on its own worker and checks them byte for byte against the schedule
+  // shadow. The digest then folds that verified shadow in shard order, so
+  // it is the digest of the media image without buffering it.
   if (mem != nullptr && stop_seq == kNoStop) {
-    std::uint64_t digest = 1469598103934665603ULL;  // FNV-1a offset basis
-    for (std::uint32_t s = 0; s < scfg.shards; ++s) {
-      Shard& sh = shards[s];
-      SecureMemory& ctrl = mem->controller(s);
+    gang.run_epoch([&](std::size_t s) {
+      const Shard& sh = shards[s];
+      MultiControllerMemory::ShardLease lease(*mem, static_cast<unsigned>(s));
+      SecureMemory& ctrl = lease.mem();
       Cycle now = sh.now;
-      const std::size_t nblocks =
-          (scfg.slots + KvLayout::kWordsPerCommitBlock - 1) /
-          KvLayout::kWordsPerCommitBlock;
-      for (std::size_t blk = 0; blk < nblocks; ++blk) {
-        const std::size_t first = blk * KvLayout::kWordsPerCommitBlock;
-        const std::size_t n =
-            std::min(KvLayout::kWordsPerCommitBlock, scfg.slots - first);
-        bool any = false;
-        for (std::size_t i = 0; i < n; ++i) any = any || sh.media[first + i] != 0;
-        if (!any) continue;
+      for_each_used_commit_block(sh.media, [&](std::size_t first, std::size_t n) {
         Block b;
         now = std::max(now, ctrl.read_block(layout.commit_block_addr(first), now, &b));
         for (std::size_t i = 0; i < n; ++i) {
-          const std::uint64_t got = word_at(b, i * 8);
-          if (got != sh.media[first + i]) {
+          if (word_at(b, i * 8) != sh.media[first + i]) {
             throw std::logic_error("final image diverged from the schedule shadow");
           }
-          fnv_fold(digest, &got, 8);
-          const CommitWord word = CommitWord::decode(got);
+          const CommitWord word = CommitWord::decode(sh.media[first + i]);
           if (word.empty() || !word.live) continue;
           Block rec;
           now = std::max(
               now, ctrl.read_block(layout.record_addr(first + i, word.replica), now, &rec));
+          if (rec != record_image(sh.slot_key[first + i], word.version, scfg.value_bytes)) {
+            throw std::logic_error("final record image diverged from the schedule shadow");
+          }
+        }
+      });
+    });
+    std::uint64_t digest = kFnvOffsetBasis;
+    for (const Shard& sh : shards) {
+      for_each_used_commit_block(sh.media, [&](std::size_t first, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+          fnv_fold(digest, &sh.media[first + i], 8);
+          const CommitWord word = CommitWord::decode(sh.media[first + i]);
+          if (word.empty() || !word.live) continue;
+          const Block rec =
+              record_image(sh.slot_key[first + i], word.version, scfg.value_bytes);
           fnv_fold(digest, rec.data(), rec.size());
         }
-      }
+      });
     }
     res.image_digest = digest;
   }
@@ -604,6 +646,10 @@ ServingCrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
 
   MultiControllerMemory mem(cfg, scheme, scfg.shards);
   EngineRun run = run_engine(cfg, scfg, rep.crash_at, &mem);
+  rep.durable_digest = kFnvOffsetBasis;
+  for (const std::vector<std::uint64_t>& words : run.durable) {
+    fnv_fold(rep.durable_digest, words.data(), words.size() * sizeof(std::uint64_t));
+  }
 
   // Fold the requested hardware fault into every controller's crash drain;
   // each DIMM gets its own derived plan so a report reproduces from its

@@ -8,20 +8,40 @@
 // accesses never cross shards, so shards run genuinely in parallel — on
 // the simulated timelines always, and on host threads when jobs > 1.
 //
-// The run proceeds in epochs, each in two phases (DESIGN.md §18):
+// Every per-shard phase runs on the ShardGang (DESIGN.md §18). A worker
+// touches only its own shard's controller and shadow state; the calling
+// thread (the coordinator) only draws, sums and merges:
 //
-//  1. Schedule resolution (sequential): per-client RNG streams draw keys
-//     (Zipf), the router maps each key to its home shard, per-shard
-//     bounded admission queues shed overload into typed degraded
-//     verdicts, and group commit coalesces commit-word persists into
-//     per-window commit-block writes. Every planned access carries a
-//     global sequence number in emission order.
-//  2. Replay (parallel): every shard's worker replays its queue on its
-//     own controller behind a ShardGang epoch barrier. Queues are
-//     disjoint and controllers share no mutable state, so jobs = 1 and
-//     jobs = N are bit-identical to the last bit; per-client latency
-//     histograms and the group-commit batch-size distribution merge at
-//     the barrier in global op order.
+//  1. Preload (gang, once): each shard assigns its keys' slots by linear
+//     probing in ascending key order, writes their records and commit
+//     blocks on its own timeline, and sets its frontier.
+//  2. Draw (coordinator, per epoch): per-client RNG streams draw each op's
+//     Zipf rank, key and update coin in global op order; the router maps
+//     the key to its home shard, and per-shard bounded admission queues
+//     shed overload into typed degraded verdicts.
+//  3. Resolve (gang): each shard turns its admitted ops, in op order, into
+//     its access queue — commit and record reads, record writes, forced
+//     and window group-commit flushes — then closes the epoch with its
+//     window flush. Every access is tagged with the op that emitted it.
+//  4. Sequence (coordinator): a prefix sum over per-op access counts gives
+//     each access its global sequence number: ops in global op order, then
+//     the closing flushes in shard order — the order a single thread
+//     resolving op after op would have emitted them in.
+//  5. Replay (gang): each shard issues its queue prefix below the crash
+//     boundary on its own controller, checks every read against the
+//     schedule, and takes the commit-block writes of that prefix as its
+//     durable state. Per-client latency histograms merge at the barrier in
+//     global op order.
+//  6. Readback (gang, once): each shard reads its final image back and
+//     checks it byte for byte against the schedule shadow; the FNV-1a
+//     image digest then folds that verified shadow in shard order.
+//
+// Any jobs value is bit-identical: the draw and the seq prefix sum are
+// sequential and order-fixed; a shard's resolve, replay and readback read
+// and write only that shard's state (plus the op_seq / latency entries of
+// its own ops), so which thread runs it, and when, cannot change a bit;
+// merges (batch-size histograms, latencies, digest) run in a fixed order
+// over integer data.
 //
 // Group commit (paper §IV-B spirit — SecPM-style write coalescing applied
 // at the serving layer): within a window, an update writes its record
@@ -41,9 +61,10 @@
 // Crash validation (run_serving_crash): the global access sequence makes
 // "crash at access boundary K" jobs-independent — each shard executes
 // exactly its queue prefix below K, ADR drains every issued write, and
-// recovery is diffed against the durable commit state derived from commit
-// writes below K. Zero silent corruption is the acceptance bar for every
-// scheme (write-back passes by being detected as unrecoverable).
+// recovery is diffed against the durable commit state the replay pass
+// took from commit writes below K. Zero silent corruption is the
+// acceptance bar for every scheme (write-back passes by being detected as
+// unrecoverable).
 #pragma once
 
 #include <cstdint>
@@ -77,7 +98,7 @@ struct ServingConfig {
   std::uint64_t seed = 1;
   Addr base = Addr{1} << 20;      // per-shard local region base
   /// Worker threads (capped at shards). Any value is bit-identical; 1
-  /// replays every shard inline on the calling thread.
+  /// runs every shard's phases inline on the calling thread.
   unsigned jobs = 1;
   std::uint64_t epoch_ops = 8192;
   Routing routing = Routing::kLoadAware;
@@ -121,8 +142,9 @@ struct ServingResult {
   std::uint64_t nvm_writes = 0;    // across all shards, measured phase
   std::uint64_t commit_writes = 0; // commit-block writes (coalescing visible)
   /// FNV-1a digest of the final durable KV image (every commit word +
-  /// every live record), read back after the last barrier. Bit-identity
-  /// checks compare this across jobs values.
+  /// every live record), read back after the last barrier and verified
+  /// against the schedule. Bit-identity checks compare this across jobs
+  /// values.
   std::uint64_t image_digest = 0;
   std::vector<ShardServingStats> shards;
 };
@@ -150,6 +172,9 @@ struct ServingCrashReport {
   std::uint64_t total_accesses = 0;
   std::uint64_t crash_at = 0;
   std::uint64_t committed_slots = 0;   // durable live slots at the crash
+  /// FNV-1a digest of every shard's durable commit words at the crash
+  /// (shard order): pins exactly which commit writes fell below crash_at.
+  std::uint64_t durable_digest = 0;
   bool recovery_supported = false;
   bool recovery_ok = false;
   bool verified = false;               // durable diff exact, no salvage

@@ -210,6 +210,54 @@ TEST(KvServing, CrashRecoveryIsJobsIndependent) {
   EXPECT_TRUE(a.pass(Scheme::kSteins)) << a.detail;
 }
 
+TEST(KvServing, MatchesSequentialEngineGoldenValues) {
+  // Recorded from the engine that preloaded, resolved schedules and read
+  // the final image back one shard after another on the calling thread.
+  // The shard-parallel engine must reproduce them at every jobs value, so
+  // it is checked against that engine and not just against itself. The
+  // durable digest pins which commit writes fell below each crash
+  // boundary, i.e. the global sequence order: 2500 lands among an epoch's
+  // ops, 3536 inside the epoch-closing flushes (shard 1 of 4).
+  const SystemConfig cfg = small_config();
+  ServingConfig scfg = small_serving(4);
+  scfg.group_commit_window = 64;
+  struct CrashGolden {
+    std::uint64_t crash_at;
+    std::uint64_t durable_digest;
+    double recovery_seconds;
+  };
+  const CrashGolden crashes[] = {
+      {2500, 0x6880d8035db58480ULL, 0.0002377},
+      {3536, 0x366f92fffd8e9821ULL, 0.0002377},
+      {7777, 0xd67bb91ed2c24d0bULL, 0.000238},
+  };
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    scfg.jobs = jobs;
+    const std::string what = "jobs=" + std::to_string(jobs);
+    const ServingResult r = run_sharded_serving(cfg, Scheme::kSteins, scfg);
+    EXPECT_EQ(r.image_digest, 0xb08f765c57f9d627ULL) << what;
+    EXPECT_EQ(r.makespan, 1035850u) << what;
+    EXPECT_EQ(r.nvm_writes, 6061u) << what;
+    EXPECT_EQ(r.commit_writes, 2971u) << what;
+    EXPECT_EQ(r.reads, 2993u) << what;
+    EXPECT_EQ(count_serving_accesses(cfg, Scheme::kSteins, scfg), 13960u) << what;
+    for (const CrashGolden& g : crashes) {
+      ServingCrashOptions opt;
+      opt.crash_at = g.crash_at;
+      const ServingCrashReport rep = run_serving_crash(cfg, Scheme::kSteins, scfg, opt);
+      const std::string at = what + " crash_at=" + std::to_string(g.crash_at);
+      EXPECT_EQ(rep.total_accesses, 13960u) << at;
+      EXPECT_EQ(rep.crash_at, g.crash_at) << at;
+      EXPECT_EQ(rep.durable_digest, g.durable_digest) << at;
+      EXPECT_EQ(rep.committed_slots, 1200u) << at;
+      EXPECT_DOUBLE_EQ(rep.recovery_seconds, g.recovery_seconds) << at;
+      EXPECT_TRUE(rep.verified) << at << ": " << rep.detail;
+      EXPECT_FALSE(rep.salvaged) << at;
+      EXPECT_TRUE(rep.pass(Scheme::kSteins)) << at << ": " << rep.detail;
+    }
+  }
+}
+
 TEST(KvServing, MultiShardThreadedRunIsClean) {
   // The TSan lane runs this filter: real worker threads, several epochs,
   // every shard exercised. Bit-identity vs jobs=1 is checked elsewhere;

@@ -10,6 +10,7 @@
 // the committed model. Steins/ASIT/STAR/SCUE must verify; WB must be
 // detected as unrecoverable. Exit status is nonzero if any scheme fails
 // its criterion.
+#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -76,7 +77,9 @@ void usage() {
       "                       bit-identical to --jobs 1)\n"
       "  --serve              run the concurrent sharded serving engine instead\n"
       "                       of the interleaved YCSB driver (one worker thread\n"
-      "                       per shard; --jobs caps the threads, bit-identical)\n"
+      "                       per shard; --jobs caps the threads, bit-identical).\n"
+      "                       kops/s is simulated time; host_s is the host\n"
+      "                       steady-clock seconds of each serving call\n"
       "  --shards <n>         serving shards == controllers (default 2)\n"
       "  --routing <hash|load>  key->shard routing policy (default load)\n"
       "  --queue-depth <n>    per-shard admitted ops per epoch; overflow sheds\n"
@@ -169,6 +172,7 @@ struct SchemeOutcome {
   std::string label;
   YcsbResult ycsb;
   ServingResult serving;  // filled in --serve mode instead of ycsb
+  double host_s = 0.0;    // host steady-clock seconds of the serving call
   bool crash_ran = false;
   KvCrashReport crash;
   ServingCrashReport scrash;  // --serve --crash
@@ -216,6 +220,8 @@ void emit_json(const Options& opt, const SystemConfig& cfg,
       const ServingResult& s = o.serving;
       os << (i ? ",\n  " : "\n  ") << "{\"scheme\": \"" << json_escape(o.label)
          << "\", \"kops_per_sec\": " << num(s.kops_per_sec)
+         << ", \"host_s\": " << num(o.host_s)
+         << ", \"clocks\": {\"kops_per_sec\": \"sim\", \"host_s\": \"host\"}"
          << ", \"offered_ops\": " << s.offered_ops << ", \"ops\": " << s.ops
          << ", \"reads\": " << s.reads << ", \"updates\": " << s.updates
          << ", \"shed_ops\": " << s.shed_ops
@@ -240,6 +246,8 @@ void emit_json(const Options& opt, const SystemConfig& cfg,
            << ", \"crash_at\": " << o.scrash.crash_at
            << ", \"total_accesses\": " << o.scrash.total_accesses
            << ", \"committed_slots\": " << o.scrash.committed_slots
+           << ", \"durable_digest\": \"" << std::hex << o.scrash.durable_digest << std::dec
+           << "\""
            << ", \"verified\": " << (o.scrash.verified ? "true" : "false")
            << ", \"salvaged\": " << (o.scrash.salvaged ? "true" : "false")
            << ", \"recovery_seconds\": " << num(o.scrash.recovery_seconds)
@@ -351,8 +359,8 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(opt.keys),
           static_cast<unsigned long long>(opt.group_commit),
           static_cast<unsigned long long>(opt.queue_depth));
-      std::printf("%-11s %10s %9s %9s %9s %8s %7s   %s\n", "scheme", "kops/s",
-                  "p50_ns", "p99_ns", "p99.9_ns", "shed", "batch",
+      std::printf("%-11s %10s %9s %9s %9s %8s %7s %8s   %s\n", "scheme", "kops/s",
+                  "p50_ns", "p99_ns", "p99.9_ns", "shed", "batch", "host_s",
                   opt.crash ? "crash-recovery" : "");
       for (const std::string& name : cli::split_csv(opt.schemes)) {
         const auto scheme_opt = cli::parse_scheme(name);
@@ -363,7 +371,9 @@ int main(int argc, char** argv) {
         const Scheme scheme = *scheme_opt;
         SchemeOutcome o;
         o.label = scheme_name(scheme, cfg.counter_mode);
+        const auto t0 = std::chrono::steady_clock::now();
         o.serving = run_sharded_serving(cfg, scheme, scfg);
+        o.host_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
         std::string crash_note;
         if (opt.crash) {
           o.crash_ran = true;
@@ -383,13 +393,13 @@ int main(int argc, char** argv) {
             crash_note = "FAIL: " + o.scrash.detail;
           }
         }
-        std::printf("%-11s %10.1f %9.0f %9.0f %9.0f %8llu %7.1f   %s\n",
+        std::printf("%-11s %10.1f %9.0f %9.0f %9.0f %8llu %7.1f %8.3f   %s\n",
                     o.label.c_str(), o.serving.kops_per_sec,
                     cycles_to_ns(cfg, o.serving.all_lat.percentile(50)),
                     cycles_to_ns(cfg, o.serving.all_lat.percentile(99)),
                     cycles_to_ns(cfg, o.serving.all_lat.percentile(99.9)),
                     static_cast<unsigned long long>(o.serving.shed_ops),
-                    o.serving.batch_sizes.mean(), crash_note.c_str());
+                    o.serving.batch_sizes.mean(), o.host_s, crash_note.c_str());
         outcomes.push_back(std::move(o));
       }
       if (!opt.json_path.empty()) emit_json(opt, cfg, outcomes);
