@@ -73,6 +73,12 @@ class FlatMap {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
+  /// Size the table for `n` entries up front, so inserting them never
+  /// rehashes (each rehash copies every value).
+  void reserve(std::size_t n) {
+    if (n * 2 > mask_ + 1) rehash(round_up(n * 2));
+  }
+
   void clear() {
     std::fill(keys_.begin(), keys_.end(), 0);
     for (auto& v : vals_) v = V{};
@@ -106,8 +112,9 @@ class FlatMap {
     return static_cast<std::size_t>(k);
   }
 
-  void grow() {
-    const std::size_t cap = (mask_ + 1) * 2;
+  void grow() { rehash((mask_ + 1) * 2); }
+
+  void rehash(std::size_t cap) {
     std::vector<std::uint64_t> keys(cap, 0);
     std::vector<V> vals(cap);
     const std::size_t mask = cap - 1;

@@ -6,6 +6,12 @@
 
 namespace steins {
 
+namespace {
+thread_local bool tls_pool_worker = false;
+}  // namespace
+
+bool ThreadPool::on_worker_thread() { return tls_pool_worker; }
+
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) threads = std::thread::hardware_concurrency();
   if (threads == 0) threads = 1;
@@ -25,6 +31,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
+  tls_pool_worker = true;
   for (;;) {
     std::function<void()> job;
     {
@@ -77,6 +84,7 @@ ShardGang::~ShardGang() {
 }
 
 void ShardGang::gang_loop(unsigned worker) {
+  tls_pool_worker = true;
   std::uint64_t seen = 0;
   for (;;) {
     const std::function<void(std::size_t)>* fn = nullptr;

@@ -56,6 +56,12 @@ class ThreadPool {
   /// (values < 1 clamp to 1), else hardware_concurrency (min 1).
   static unsigned default_jobs();
 
+  /// True on a ThreadPool or ShardGang worker thread. Work that could fan
+  /// out on a pool of its own runs inline there instead, so pools never
+  /// nest (a campaign cell or a serving shard that recovers stays on its
+  /// worker).
+  static bool on_worker_thread();
+
  private:
   void worker_loop();
 

@@ -1,7 +1,13 @@
 #include "schemes/steins.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <exception>
+#include <future>
+#include <optional>
+
+#include "common/thread_pool.hpp"
 
 namespace steins {
 
@@ -104,6 +110,13 @@ std::optional<std::uint64_t> SteinsMemory::pending_parent_counter(NodeId id) con
     if (e.parent == parent && e.slot == slot) found = e.counter;
   }
   return found;
+}
+
+std::vector<NodeId> SteinsMemory::pending_children() const {
+  std::vector<NodeId> out;
+  out.reserve(nv_buffer_.size());
+  for (const auto& e : nv_buffer_) out.push_back(geo_.child_of(e.parent, e.slot));
+  return out;
 }
 
 void SteinsMemory::apply_buffered_entries_to(SitNode& node) {
@@ -432,24 +445,32 @@ bool SteinsMemory::recovery_counters(NodeId id, RecoveryCtx& ctx, SitNode* out) 
   return true;
 }
 
-void SteinsMemory::rebuild_from_children(NodeId id, const SitNode& stale, RecoveryCtx& ctx,
-                                         SitNode* out) {
-  SitNode node = stale;
-  node.id = id;
+SteinsMemory::RebuildOutcome SteinsMemory::rebuild_from_children(NodeId id, const SitNode& stale,
+                                                                 const RecoveryCtx& ctx) const {
+  RebuildOutcome out;
+  out.node = stale;
+  out.node.id = id;
+  const auto lose_child = [&](NodeId child, WalkEvent::Attack attack, QuarantineReason reason) {
+    WalkEvent e;
+    e.kind = WalkEvent::Kind::kQuarantineNode;
+    e.attack = attack;
+    e.reason = reason;
+    e.reads = out.reads;
+    e.node = child;
+    out.events.push_back(e);
+  };
   const std::size_t n = geo_.num_children(id);
   for (std::size_t j = 0; j < n; ++j) {
     const NodeId child = geo_.child_of(id, j);
     if (in_quarantined(ctx, child)) continue;  // keep the stale slot value
     const Addr caddr = geo_.node_addr(child);
-    ++recovery_reads_;
+    ++out.reads;
     if (!dev_.contains(caddr)) {
       if (stale.gc.counters[j] != 0) {
-        note_attack(ctx.result, static_cast<int>(child.level),
-                    "child node erased during recovery");
-        quarantine_subtree_ctx(child, ctx, QuarantineReason::kLost);
+        lose_child(child, WalkEvent::Attack::kChildErased, QuarantineReason::kLost);
         continue;
       }
-      node.gc.counters[j] = 0;
+      out.node.gc.counters[j] = 0;
       continue;
     }
     bool dead = false;
@@ -457,8 +478,9 @@ void SteinsMemory::rebuild_from_children(NodeId id, const SitNode& stale, Recove
     const SitNode cnode = SitNode::from_block(child, leaf_is_split() && child.level == 0,
                                               dev_.peek_corrected(caddr, &dead), &stored);
     if (dead) {
-      quarantine_subtree_ctx(child, ctx, QuarantineReason::kEccMeta);
-      continue;  // stale slot value stays; the subtree's data is blocked
+      // Stale slot value stays; the subtree's data is blocked.
+      lose_child(child, WalkEvent::Attack::kNone, QuarantineReason::kEccMeta);
+      continue;
     }
     // Regenerate the parent counter from the child and verify the child's
     // HMAC with it (paper Fig. 6): detects tampering; replay is caught by
@@ -466,26 +488,37 @@ void SteinsMemory::rebuild_from_children(NodeId id, const SitNode& stale, Recove
     const std::uint64_t regenerated = cnode.parent_value();
     const std::uint64_t mac = cme_.mac().node_mac(cnode.payload(), caddr, regenerated);
     if (mac != stored) {
-      note_attack(ctx.result, static_cast<int>(child.level),
-                  "tampered child detected by HMAC at level " + std::to_string(child.level));
-      quarantine_subtree_ctx(child, ctx, QuarantineReason::kLost);
+      lose_child(child, WalkEvent::Attack::kChildTampered, QuarantineReason::kLost);
       continue;
     }
-    node.gc.counters[j] = regenerated;
+    out.node.gc.counters[j] = regenerated;
   }
-  *out = node;
+  out.increase = out.node.parent_value() - stale.parent_value();
+  return out;
 }
 
-void SteinsMemory::rebuild_leaf_from_data(NodeId id, const SitNode& stale, RecoveryCtx& ctx,
-                                          SitNode* out) {
-  SitNode node = stale;
-  node.id = id;
+SteinsMemory::RebuildOutcome SteinsMemory::rebuild_leaf_from_data(NodeId id,
+                                                                  const SitNode& stale) const {
+  RebuildOutcome out;
+  out.node = stale;
+  out.node.id = id;
+  SitNode& node = out.node;
+  // Every data-line event voids the covering LInc checks.
+  const auto lose_line = [&](Addr daddr, WalkEvent::Attack attack, QuarantineReason reason) {
+    WalkEvent e;
+    e.kind = WalkEvent::Kind::kQuarantineLine;
+    e.attack = attack;
+    e.reason = reason;
+    e.reads = out.reads;
+    e.addr = daddr;
+    out.events.push_back(e);
+  };
   const std::uint64_t cover = geo_.leaf_coverage();
   for (std::uint64_t j = 0; j < cover; ++j) {
     const std::uint64_t block = id.index * cover + j;
     if (block >= geo_.data_blocks()) break;
     const Addr daddr = block * kBlockSize;
-    ++recovery_reads_;
+    ++out.reads;
     const std::uint64_t stale_ctr = node.split
                                         ? static_cast<std::uint64_t>(stale.sc.minors[j])
                                         : stale.gc.counters[j];
@@ -493,12 +526,13 @@ void SteinsMemory::rebuild_leaf_from_data(NodeId id, const SitNode& stale, Recov
       if (stale_ctr != 0) {
         if (qmap_.read_blocked(daddr)) {
           // A previously retired line: its image was dropped with the remap.
-          ctx.linc_skip = true;
+          WalkEvent e;
+          e.kind = WalkEvent::Kind::kLincSkip;
+          e.reads = out.reads;
+          out.events.push_back(e);
           continue;
         }
-        note_attack(ctx.result, 0, "data block erased during recovery");
-        quarantine_data_line(daddr, QuarantineReason::kLost);
-        ctx.linc_skip = true;
+        lose_line(daddr, WalkEvent::Attack::kDataErased, QuarantineReason::kLost);
       }
       continue;  // never-written block: counter stays zero
     }
@@ -507,8 +541,7 @@ void SteinsMemory::rebuild_leaf_from_data(NodeId id, const SitNode& stale, Recov
     if (dead) {
       // The line's content is gone; its counter increments since the stale
       // image are unknowable. Retire the line, keep the stale counter.
-      quarantine_data_line(daddr, QuarantineReason::kEccData);
-      ctx.linc_skip = true;
+      lose_line(daddr, WalkEvent::Attack::kNone, QuarantineReason::kEccData);
       continue;
     }
     const std::uint64_t tag = dev_.read_tag(daddr);
@@ -535,14 +568,126 @@ void SteinsMemory::rebuild_leaf_from_data(NodeId id, const SitNode& stale, Recov
         }
       }
     }
-    if (!found) {
-      note_attack(ctx.result, 0,
-                  "data block HMAC matched no counter in the recovery window (tamper/replay)");
-      quarantine_data_line(daddr, QuarantineReason::kLost);
-      ctx.linc_skip = true;
+    if (!found) lose_line(daddr, WalkEvent::Attack::kDataUnmatched, QuarantineReason::kLost);
+  }
+  out.increase = node.parent_value() - stale.parent_value();
+  return out;
+}
+
+void SteinsMemory::apply_rebuild(const RebuildOutcome& o, RecoveryCtx& ctx) {
+  std::uint32_t charged = 0;
+  for (const WalkEvent& e : o.events) {
+    recovery_reads_ += e.reads - charged;
+    charged = e.reads;
+    switch (e.attack) {
+      case WalkEvent::Attack::kNone:
+        break;
+      case WalkEvent::Attack::kChildErased:
+        note_attack(ctx.result, static_cast<int>(e.node.level),
+                    "child node erased during recovery");
+        break;
+      case WalkEvent::Attack::kChildTampered:
+        note_attack(ctx.result, static_cast<int>(e.node.level),
+                    "tampered child detected by HMAC at level " + std::to_string(e.node.level));
+        break;
+      case WalkEvent::Attack::kDataErased:
+        note_attack(ctx.result, 0, "data block erased during recovery");
+        break;
+      case WalkEvent::Attack::kDataUnmatched:
+        note_attack(ctx.result, 0,
+                    "data block HMAC matched no counter in the recovery window (tamper/replay)");
+        break;
+    }
+    switch (e.kind) {
+      case WalkEvent::Kind::kQuarantineNode:
+        quarantine_subtree_ctx(e.node, ctx, e.reason);
+        break;
+      case WalkEvent::Kind::kQuarantineLine:
+        quarantine_data_line(e.addr, e.reason);
+        ctx.linc_skip = true;
+        break;
+      case WalkEvent::Kind::kLincSkip:
+        ctx.linc_skip = true;
+        break;
     }
   }
-  *out = node;
+  recovery_reads_ += o.reads - charged;
+}
+
+bool SteinsMemory::stale_verifies(const CandidateOutcome& o, NodeId id, std::uint64_t pc) const {
+  if (!o.exists) return pc == 0;  // never persisted: its parent must agree
+  return cme_.mac().node_mac(o.stale.payload(), geo_.node_addr(id), pc) == o.stored;
+}
+
+SteinsMemory::CandidateOutcome SteinsMemory::walk_pure(NodeId id, const RecoveryCtx& ctx) const {
+  CandidateOutcome o;
+  // Quarantines only grow, so the commit skips this candidate too.
+  if (in_quarantined(ctx, id)) return o;
+  const Addr addr = geo_.node_addr(id);
+  o.exists = dev_.contains(addr);
+  o.stale = SitNode::from_block(id, leaf_is_split() && id.level == 0,
+                                dev_.peek_corrected(addr, &o.dead), &o.stored);
+  if (o.exists && o.dead) return o;
+  // The parent counter is known now when it is a root register or the
+  // parent was recovered on the level above (that map is complete and
+  // read-only during this level).
+  if (geo_.is_top_level(id)) {
+    o.pc_known = true;
+    o.pc = root_[id.index];
+  } else if (const SitNode* parent = ctx.recovered.find(flat_key(geo_, geo_.parent_of(id)))) {
+    o.pc_known = true;
+    o.pc = parent->gc.counters[geo_.slot_in_parent(id)];
+  }
+  if (o.pc_known) {
+    o.stale_ok = stale_verifies(o, id, o.pc);
+    if (!o.stale_ok) return o;  // the commit quarantines it without a rebuild
+  }
+  o.rebuild = id.level == 0 ? rebuild_leaf_from_data(id, o.stale)
+                            : rebuild_from_children(id, o.stale, ctx);
+  o.rebuilt = true;
+  return o;
+}
+
+void SteinsMemory::walk_commit(NodeId id, CandidateOutcome& o, RecoveryCtx& ctx,
+                               std::uint64_t* level_sum) {
+  if (in_quarantined(ctx, id)) return;  // ancestor already written off
+  // The stale version was read and is verified against its (already
+  // recovered) parent or the root register.
+  ++recovery_reads_;
+  if (o.exists && o.dead) {
+    quarantine_subtree_ctx(id, ctx, QuarantineReason::kEccMeta);
+    return;
+  }
+  std::uint64_t pc = 0;
+  if (geo_.is_top_level(id)) {
+    pc = root_[id.index];
+  } else {
+    SitNode parent;
+    if (!recovery_counters(geo_.parent_of(id), ctx, &parent)) return;
+    pc = parent.gc.counters[geo_.slot_in_parent(id)];
+  }
+  const bool ok = o.pc_known && o.pc == pc ? o.stale_ok : stale_verifies(o, id, pc);
+  if (!ok) {
+    const int k = static_cast<int>(id.level);
+    note_attack(ctx.result, k,
+                o.exists ? "stale node failed parent verification at level " + std::to_string(k)
+                         : "stale node erased at level " + std::to_string(k));
+    quarantine_subtree_ctx(id, ctx, QuarantineReason::kLost);
+    return;
+  }
+
+  // The latest counters, rebuilt from the persistent children. The pure
+  // phase skips the rebuild when the stale check failed against the parent
+  // counter it saw; if the counter here differs and the check passes, the
+  // rebuild runs now (the state it reads is the same as then).
+  if (!o.rebuilt) {
+    o.rebuild = id.level == 0 ? rebuild_leaf_from_data(id, o.stale)
+                              : rebuild_from_children(id, o.stale, ctx);
+  }
+  apply_rebuild(o.rebuild, ctx);
+  *level_sum += o.rebuild.increase;
+  ctx.recovered.get_or_create(flat_key(geo_, id)) = o.rebuild.node;
+  ++ctx.result->nodes_recovered;
 }
 
 RecoveryReport SteinsMemory::recover() {
@@ -575,7 +720,14 @@ void SteinsMemory::recover_impl(RecoveryCtx& ctx, RecoveryReport& result) {
   // Step 1: read the offset records to locate candidate dirty nodes
   // (a superset of the truly dirty set; clean entries are harmless, §III-H).
   std::vector<std::vector<NodeId>> by_level(geo_.num_levels());
-  std::unordered_set<std::uint64_t> seen;
+  FlatMap<std::uint8_t> seen;  // flat offsets already taken (1) as candidates
+  seen.reserve(record_lines_ * kOffsetsPerRecordLine + nv_buffer_.size());
+  const auto add_candidate = [&](NodeId id) {
+    std::uint8_t& taken = seen.get_or_create(flat_key(geo_, id));
+    if (taken != 0) return;
+    taken = 1;
+    by_level[id.level].push_back(id);
+  };
   for (std::size_t line = 0; line < record_lines_; ++line) {
     ++recovery_reads_;
     bool dead = false;
@@ -599,8 +751,7 @@ void SteinsMemory::recover_impl(RecoveryCtx& ctx, RecoveryReport& result) {
         ctx.record_fallback = true;
         continue;
       }
-      const NodeId id = geo_.node_at_offset(o - 1);
-      if (seen.insert(flat_key(geo_, id)).second) by_level[id.level].push_back(id);
+      add_candidate(geo_.node_at_offset(o - 1));
     }
   }
   // Step 1b (re-entrant recovery): union the previous attempt's persisted
@@ -622,19 +773,13 @@ void SteinsMemory::recover_impl(RecoveryCtx& ctx, RecoveryReport& result) {
     seen.clear();
     for (const Addr a : dev_.resident_blocks(geo_.meta_base(),
                                              geo_.meta_base() + geo_.total_nodes() * kBlockSize)) {
-      const NodeId id = geo_.node_at(a);
-      if (seen.insert(flat_key(geo_, id)).second) by_level[id.level].push_back(id);
+      add_candidate(geo_.node_at(a));
     }
     ctx.linc_skip = true;
   }
-  for (const std::uint32_t o : cursor_offs) {
-    const NodeId id = geo_.node_at_offset(o - 1);
-    if (seen.insert(flat_key(geo_, id)).second) by_level[id.level].push_back(id);
-  }
+  for (const std::uint32_t o : cursor_offs) add_candidate(geo_.node_at_offset(o - 1));
   // Nodes targeted by parked parent counters are dirty too.
-  for (const auto& e : nv_buffer_) {
-    if (seen.insert(flat_key(geo_, e.parent)).second) by_level[e.parent.level].push_back(e.parent);
-  }
+  for (const auto& e : nv_buffer_) add_candidate(e.parent);
 
   // Persist the resume cursor — the full candidate set — before any durable
   // recovery mutation. Crossing this boundary is the first persist of a
@@ -687,55 +832,64 @@ void SteinsMemory::recover_impl(RecoveryCtx& ctx, RecoveryReport& result) {
   // Failures no longer abort the walk: the failing subtree is quarantined
   // (its data range is blocked and, for MAC-type failures, the attack is
   // flagged) and the walk salvages every sibling it can still verify.
+  //
+  // Each level runs in windows of kWalkWindow candidates: a pure phase that
+  // only reads (stale image, stale check when the parent counter is known,
+  // rebuild) fans out over a worker pool, then an ordered commit applies
+  // every check, quarantine, attack note and read charge in candidate order
+  // (DESIGN.md §17, "Parallel level walk"). A level that fits one window,
+  // a single job, or a caller that is itself a pool worker runs the same
+  // two phases inline; otherwise the caller and jobs - 1 helpers share the
+  // pure phase.
+  std::size_t candidates = 0;
+  for (const auto& lvl : by_level) candidates += lvl.size();
+  ctx.recovered.reserve(candidates);
+  // Verified non-candidate ancestors: at most 1/8 + 1/64 + ... = 1/7 of
+  // the candidates below them.
+  ctx.clean_verified.reserve(candidates / (kTreeArity - 1));
+  const unsigned jobs = ThreadPool::on_worker_thread() ? 1u : ThreadPool::default_jobs();
+  std::optional<ThreadPool> pool;
+  std::vector<CandidateOutcome> window;
   for (int k = static_cast<int>(geo_.top_level()); k >= 0; --k) {
     std::uint64_t level_sum = 0;
-    for (const NodeId id : by_level[static_cast<std::size_t>(k)]) {
-      if (in_quarantined(ctx, id)) continue;  // ancestor already written off
-      // Read the stale version and verify it against its (already
-      // recovered) parent or the root register.
-      const Addr addr = geo_.node_addr(id);
-      const bool exists = dev_.contains(addr);
-      ++recovery_reads_;
-      bool dead = false;
-      std::uint64_t stored = 0;
-      const SitNode stale = SitNode::from_block(id, leaf_is_split() && id.level == 0,
-                                                dev_.peek_corrected(addr, &dead), &stored);
-      if (exists && dead) {
-        quarantine_subtree_ctx(id, ctx, QuarantineReason::kEccMeta);
-        continue;
-      }
-      std::uint64_t pc = 0;
-      if (geo_.is_top_level(id)) {
-        pc = root_[id.index];
-      } else {
-        SitNode parent;
-        if (!recovery_counters(geo_.parent_of(id), ctx, &parent)) continue;
-        pc = parent.gc.counters[geo_.slot_in_parent(id)];
-      }
-      if (exists) {
-        if (cme_.mac().node_mac(stale.payload(), addr, pc) != stored) {
-          note_attack(&result, k,
-                      "stale node failed parent verification at level " + std::to_string(k));
-          quarantine_subtree_ctx(id, ctx, QuarantineReason::kLost);
-          continue;
+    const std::vector<NodeId>& ids = by_level[static_cast<std::size_t>(k)];
+    const bool fan_out = jobs > 1 && ids.size() > kWalkWindow;
+    if (fan_out && !pool) pool.emplace(jobs - 1);
+    for (std::size_t lo = 0; lo < ids.size(); lo += kWalkWindow) {
+      const std::size_t n = std::min(kWalkWindow, ids.size() - lo);
+      if (window.size() < n) window.resize(n);
+      if (fan_out) {
+        // Workers claim small runs of candidates, so uneven rebuild costs
+        // (resident data lines per leaf) balance out.
+        constexpr std::size_t kGrain = 16;
+        std::atomic<std::size_t> next{0};
+        const auto claim = [&] {
+          for (;;) {
+            const std::size_t from = next.fetch_add(kGrain);
+            if (from >= n) return;
+            const std::size_t to = std::min(n, from + kGrain);
+            for (std::size_t i = from; i < to; ++i) window[i] = walk_pure(ids[lo + i], ctx);
+          }
+        };
+        // The caller claims work too, so the window starts before the
+        // helpers wake. Every helper is joined before the window's state
+        // goes out of scope, on the error path too.
+        std::vector<std::future<void>> helpers;
+        helpers.reserve(pool->size());
+        std::exception_ptr error;
+        try {
+          for (std::size_t w = 0; w < pool->size(); ++w) helpers.push_back(pool->submit(claim));
+          claim();
+        } catch (...) {
+          error = std::current_exception();
         }
-      } else if (pc != 0) {
-        note_attack(&result, k, "stale node erased at level " + std::to_string(k));
-        quarantine_subtree_ctx(id, ctx, QuarantineReason::kLost);
-        continue;
-      }
-
-      // Rebuild the latest counters from the persistent children.
-      SitNode rebuilt;
-      if (k == 0) {
-        rebuild_leaf_from_data(id, stale, ctx, &rebuilt);
+        for (auto& f : helpers) f.wait();
+        if (error) std::rethrow_exception(error);
+        for (auto& f : helpers) f.get();
       } else {
-        rebuild_from_children(id, stale, ctx, &rebuilt);
+        for (std::size_t i = 0; i < n; ++i) window[i] = walk_pure(ids[lo + i], ctx);
       }
-
-      level_sum += rebuilt.parent_value() - stale.parent_value();
-      ctx.recovered.get_or_create(flat_key(geo_, id)) = rebuilt;
-      ++result.nodes_recovered;
+      for (std::size_t i = 0; i < n; ++i) walk_commit(ids[lo + i], window[i], ctx, &level_sum);
     }
 
     // Replay check (Fig. 8 steps 3-4 / 9-10): the summed counter increase

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -68,6 +67,7 @@ class SteinsMemory final : public SecureMemoryBase {
   void drain_nv_buffer(Cycle& now);
 
   std::optional<std::uint64_t> pending_parent_counter(NodeId id) const override;
+  std::vector<NodeId> pending_children() const override;
 
  protected:
   Cycle persist_node(SitNode& node, Cycle now) override;
@@ -113,7 +113,7 @@ class SteinsMemory final : public SecureMemoryBase {
   // ---- recovery helpers ----
 
   struct RecoveryCtx {
-    FlatMap<SitNode> recovered;  // key = flat offset
+    FlatMap<SitNode> recovered;  // key = flat offset; reserved per walk
     FlatMap<SitNode> clean_verified;
     /// Roots of subtrees quarantined during this walk: (level, index).
     std::vector<std::pair<unsigned, std::uint64_t>> quarantined;
@@ -142,15 +142,82 @@ class SteinsMemory final : public SecureMemoryBase {
   /// caller moves on to the next candidate.
   bool recovery_counters(NodeId id, RecoveryCtx& ctx, SitNode* out);
 
+  /// A side effect of a read-only rebuild, deferred to the ordered commit:
+  /// it is applied once the `reads` rebuild reads before it are charged,
+  /// i.e. at the point where it occurred.
+  struct WalkEvent {
+    enum class Kind : std::uint8_t { kQuarantineNode, kQuarantineLine, kLincSkip };
+    enum class Attack : std::uint8_t {
+      kNone,
+      kChildErased,
+      kChildTampered,
+      kDataErased,
+      kDataUnmatched
+    };
+    Kind kind = Kind::kLincSkip;
+    Attack attack = Attack::kNone;
+    QuarantineReason reason = QuarantineReason::kLost;
+    std::uint32_t reads = 0;
+    NodeId node;    // kQuarantineNode: the child whose subtree goes
+    Addr addr = 0;  // kQuarantineLine: the data line that goes
+  };
+
+  /// A rebuilt node, its parent-value increase over the stale node (the
+  /// LInc term), the NVM reads it took and its deferred events in the order
+  /// they occurred.
+  struct RebuildOutcome {
+    SitNode node;
+    std::uint64_t increase = 0;
+    std::uint32_t reads = 0;
+    std::vector<WalkEvent> events;
+  };
+
+  /// One walk candidate's pure-phase result (DESIGN.md §17, "Parallel
+  /// level walk"): its stale image, the stale HMAC check when the parent
+  /// counter was already known, and its rebuild.
+  struct CandidateOutcome {
+    bool exists = false;
+    bool dead = false;
+    std::uint64_t stored = 0;  // the stale image's HMAC
+    SitNode stale;
+    bool pc_known = false;  // parent counter known before the commit
+    std::uint64_t pc = 0;
+    bool stale_ok = false;  // stale check against `pc` (when pc_known)
+    bool rebuilt = false;
+    RebuildOutcome rebuild;
+  };
+
+  /// Candidates per walk window: each window runs its pure pass, then its
+  /// commit, before the next starts, bounding the buffered outcomes.
+  static constexpr std::size_t kWalkWindow = 1024;
+
   /// Rebuild a node's counters from its persistent children; verifies each
   /// child's HMAC with the regenerated counter (tamper check). Unusable
-  /// children are quarantined and keep their stale slot value.
-  void rebuild_from_children(NodeId id, const SitNode& stale, RecoveryCtx& ctx, SitNode* out);
+  /// children become quarantine events and keep their stale slot value.
+  /// Reads only.
+  RebuildOutcome rebuild_from_children(NodeId id, const SitNode& stale,
+                                       const RecoveryCtx& ctx) const;
 
   /// Recover one leaf's counters by bounded trial against data HMACs.
-  /// Unreadable or unmatched blocks are quarantined; their counters stay
-  /// stale and the covering LInc checks are voided.
-  void rebuild_leaf_from_data(NodeId id, const SitNode& stale, RecoveryCtx& ctx, SitNode* out);
+  /// Unreadable or unmatched blocks become quarantine events; their
+  /// counters stay stale and the covering LInc checks are voided. Reads
+  /// only.
+  RebuildOutcome rebuild_leaf_from_data(NodeId id, const SitNode& stale) const;
+
+  /// Does the stale image verify against parent counter `pc`?
+  bool stale_verifies(const CandidateOutcome& o, NodeId id, std::uint64_t pc) const;
+
+  /// Pure phase for one candidate: reads only, safe to run concurrently
+  /// with other candidates of the same level.
+  CandidateOutcome walk_pure(NodeId id, const RecoveryCtx& ctx) const;
+
+  /// Commit phase for one candidate, in candidate order: every check and
+  /// state change of the walk, with the pure-phase reads and events
+  /// applied at the read count where they occurred.
+  void walk_commit(NodeId id, CandidateOutcome& o, RecoveryCtx& ctx, std::uint64_t* level_sum);
+
+  /// Charge a rebuild's reads and apply its events in order.
+  void apply_rebuild(const RebuildOutcome& o, RecoveryCtx& ctx);
 
   /// The salvage walk proper; recover() wraps it so every exit path still
   /// yields a RecoveryReport.

@@ -108,6 +108,8 @@ std::optional<std::uint64_t> SecureMemoryBase::pending_parent_counter(NodeId) co
   return std::nullopt;
 }
 
+std::vector<NodeId> SecureMemoryBase::pending_children() const { return {}; }
+
 std::uint64_t SecureMemoryBase::verify_parent_counter(NodeId id, Cycle& now) {
   if (const auto pending = pending_parent_counter(id)) return *pending;
   if (geo_.is_top_level(id)) return root_[id.index];

@@ -257,6 +257,9 @@ class SecureMemoryBase : public SecureMemory {
   /// parent buffer so verification never sees a stale parent slot; the
   /// buffer lives on-chip, so this costs no memory access.
   virtual std::optional<std::uint64_t> pending_parent_counter(NodeId id) const;
+  /// Every node pending_parent_counter() has an answer for (audits
+  /// enumerate these instead of probing the whole tree).
+  virtual std::vector<NodeId> pending_children() const;
 
   /// Force every queued write to NVM and every dirty metadata node out of
   /// the cache (used by tests to reach a fully-persistent state).

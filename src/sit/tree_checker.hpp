@@ -34,7 +34,10 @@ struct TreeCheckReport {
 
 /// Verify every persisted node of `mem`'s SIT bottom-up against its parent
 /// (falling back to the scheme's root register at the top), plus cache/NVM
-/// coherence for clean cached nodes. `max_issues` bounds the report.
+/// coherence for clean cached nodes. `max_issues` bounds the report. The
+/// result equals a walk over every node of the tree, but the cost grows
+/// with the resident state (persisted, cached and pending nodes), not with
+/// the tree size.
 TreeCheckReport check_tree(SecureMemoryBase& mem, std::size_t max_issues = 16);
 
 }  // namespace steins

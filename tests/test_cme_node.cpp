@@ -3,6 +3,7 @@
 
 #include "secure/cme.hpp"
 #include "sit/node.hpp"
+#include "test_printers.hpp"
 
 namespace steins {
 namespace {

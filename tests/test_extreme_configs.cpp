@@ -19,6 +19,8 @@ struct Knobs {
   const char* name;
 };
 
+void PrintTo(const Knobs& k, std::ostream* os) { *os << k.name; }
+
 class ExtremeKnobs : public ::testing::TestWithParam<Knobs> {};
 
 TEST_P(ExtremeKnobs, SteinsStaysCorrectAndRecoverable) {

@@ -22,6 +22,8 @@ struct Variant {
   const char* name;
 };
 
+void PrintTo(const Variant& v, std::ostream* os) { *os << v.name; }
+
 class SchemeRecovery : public ::testing::TestWithParam<Variant> {
  protected:
   void SetUp() override {

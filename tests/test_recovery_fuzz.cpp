@@ -20,6 +20,10 @@ struct FuzzCase {
   CounterMode mode;
 };
 
+void PrintTo(const FuzzCase& fc, std::ostream* os) {
+  *os << (fc.mode == CounterMode::kSplit ? "SC" : "GC") << " seed " << fc.seed;
+}
+
 class RecoveryFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(RecoveryFuzz, RandomOpsAndCrashes) {

@@ -23,6 +23,8 @@ struct Variant {
   const char* name;
 };
 
+void PrintTo(const Variant& v, std::ostream* os) { *os << v.name; }
+
 class SchemeDataPath : public ::testing::TestWithParam<Variant> {
  protected:
   std::unique_ptr<SecureMemory> make() {

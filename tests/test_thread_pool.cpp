@@ -73,6 +73,22 @@ TEST(ThreadPool, SingleThreadPoolStillWorks) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
 }
 
+TEST(ThreadPool, WorkersKnowTheyArePoolWorkers) {
+  // Code that could start a pool of its own checks this to avoid nesting.
+  EXPECT_FALSE(ThreadPool::on_worker_thread());
+  ThreadPool pool(2);
+  EXPECT_TRUE(pool.submit([] { return ThreadPool::on_worker_thread(); }).get());
+  ShardGang gang(4, 2);
+  std::vector<int> seen(4, 0);
+  gang.run_epoch([&](std::size_t s) { seen[s] = ThreadPool::on_worker_thread() ? 1 : 0; });
+  EXPECT_EQ(seen, std::vector<int>(4, 1));
+  // jobs == 1 runs shards on the calling thread, which is no worker.
+  ShardGang inline_gang(2, 1);
+  inline_gang.run_epoch([&](std::size_t s) { seen[s] = ThreadPool::on_worker_thread() ? 1 : 0; });
+  EXPECT_EQ(seen[0], 0);
+  EXPECT_EQ(seen[1], 0);
+}
+
 TEST(ThreadPool, DefaultJobsHonoursEnv) {
   ASSERT_EQ(setenv("STEINS_JOBS", "3", 1), 0);
   EXPECT_EQ(ThreadPool::default_jobs(), 3u);

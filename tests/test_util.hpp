@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "secure/secure_memory.hpp"
+#include "test_printers.hpp"
 
 namespace steins::testutil {
 
