@@ -6,7 +6,7 @@
 #include <memory>
 
 #include "common/rng.hpp"
-#include "schemes/attack.hpp"
+#include "fault/adversary.hpp"
 #include "schemes/steins.hpp"
 
 using namespace steins;
@@ -64,25 +64,24 @@ int main() {
       }
     });
     mem->crash();
-    AttackInjector attacker(*mem);
-    if (found) attacker.tamper_node(victim, 12);
+    if (found) tamper_line(mem->device(), mem->geometry().node_addr(victim), 12);
     report("tampered SIT node", mem->recover());
   }
 
   {  // Replay: record a data block early, splice it back after more writes.
     auto mem = fresh_memory_with_workload(rng);
-    AttackInjector attacker(*mem);
+    AdversarySnapshot recorded;
     const Addr victim = 1234 * kBlockSize;
     Block data{};
     Cycle now = 0;
     now = mem->write_block(victim, data, now);
     mem->flush_all_metadata();
-    attacker.record_block(victim);  // bus snoop
+    record_line(mem->device(), victim, recorded);  // bus snoop
     data[0] = 0xff;
     now = mem->write_block(victim, data, now);  // counter advances
     now = mem->write_block(victim, data, now);
     mem->crash();
-    attacker.replay_block(victim);  // splice the stale ciphertext back
+    replay_line(mem->device(), victim, recorded);  // splice the stale ciphertext back
     report("replayed data block", mem->recover());
   }
 
@@ -91,11 +90,10 @@ int main() {
     Cycle t = 0;
     mem->drain_nv_buffer(t);
     mem->crash();
-    AttackInjector attacker(*mem);
     const Addr base = mem->geometry().aux_base();
     const std::size_t lines = (mem->metadata_cache().num_lines() + 15) / 16;
     for (std::size_t i = 0; i < lines; ++i) {
-      attacker.overwrite_block(base + i * kBlockSize, zero_block());
+      overwrite_line(mem->device(), base + i * kBlockSize, zero_block());
     }
     report("forged offset records", mem->recover());
   }

@@ -26,21 +26,6 @@ bool same_line(const AdversarySnapshot::Line& a, const AdversarySnapshot::Line& 
   return a.block == b.block && a.tag == b.tag && a.tag2 == b.tag2;
 }
 
-/// Restore a line to its snapshot state — or to blank, modeling the
-/// destructive erase of a line the snapshot never saw.
-void restore_line(NvmDevice& dev, Addr addr, const AdversarySnapshot& snap) {
-  const auto it = snap.lines.find(addr);
-  if (it != snap.lines.end()) {
-    dev.poke_block(addr, it->second.block);
-    dev.write_tag(addr, it->second.tag);
-    dev.write_tag2(addr, it->second.tag2);
-  } else {
-    dev.poke_block(addr, zero_block());
-    dev.write_tag(addr, 0);
-    dev.write_tag2(addr, 0);
-  }
-}
-
 /// Resident lines in [lo, hi) whose current state differs from the
 /// snapshot (including lines born after it). Sorted by address, so every
 /// downstream pick is deterministic.
@@ -98,7 +83,7 @@ bool rollback_one_node(SecureMemoryBase& mem, const std::vector<Addr>& candidate
                        const char* what, std::string* events) {
   if (candidates.empty()) return false;
   const Addr addr = candidates[rng.below(candidates.size())];
-  restore_line(mem.device(), addr, snap);
+  replay_line(mem.device(), addr, snap);
   append_event(events, std::string(what) + " " + node_label(mem.geometry(), addr) +
                            " @" + hex_addr(addr));
   return true;
@@ -286,6 +271,30 @@ AdversarySnapshot snapshot_device(SecureMemoryBase& mem) {
   return snap;
 }
 
+void record_line(NvmDevice& dev, Addr addr, AdversarySnapshot& snap) {
+  snap.lines[addr] = read_line(dev, addr);
+}
+
+bool replay_line(NvmDevice& dev, Addr addr, const AdversarySnapshot& snap) {
+  const auto it = snap.lines.find(addr);
+  const AdversarySnapshot::Line line =
+      it != snap.lines.end() ? it->second : AdversarySnapshot::Line{};
+  dev.poke_block(addr, line.block);
+  dev.write_tag(addr, line.tag);
+  dev.write_tag2(addr, line.tag2);
+  return it != snap.lines.end();
+}
+
+void tamper_line(NvmDevice& dev, Addr addr, std::size_t byte_index, std::uint8_t mask) {
+  Block b = dev.peek_block(addr);
+  b[byte_index % kBlockSize] ^= mask;
+  dev.poke_block(addr, b);
+}
+
+void overwrite_line(NvmDevice& dev, Addr addr, const Block& data) {
+  dev.poke_block(addr, data);
+}
+
 bool apply_adversary_post_crash(SecureMemoryBase& mem, Scheme scheme,
                                 const AdversaryPlan& plan,
                                 const AdversarySnapshot& snap, std::string* events) {
@@ -314,13 +323,13 @@ bool apply_adversary_post_crash(SecureMemoryBase& mem, Scheme scheme,
       std::size_t reverted = 0;
       for (const Addr a : changed_nodes) {
         if (in_subtree(geo, geo.node_at(a), root)) {
-          restore_line(dev, a, snap);
+          replay_line(dev, a, snap);
           ++reverted;
         }
       }
       const auto [dlo, dhi] = subtree_data_span(geo, root);
       for (const Addr a : changed_lines(mem, snap, dlo, dhi)) {
-        restore_line(dev, a, snap);
+        replay_line(dev, a, snap);
         ++reverted;
       }
       append_event(events, "rollback subtree " + node_label(geo, root_addr) + " (" +
@@ -399,7 +408,7 @@ bool apply_data_replay(SecureMemoryBase& mem, const AdversaryPlan& plan,
   if (changed.empty()) return false;
   Xoshiro256 rng(plan.seed);
   const Addr addr = changed[rng.below(changed.size())];
-  restore_line(mem.device(), addr, snap);
+  replay_line(mem.device(), addr, snap);
   append_event(events,
                "replayed data block " + std::to_string(addr / kBlockSize) + " mid-run");
   return true;

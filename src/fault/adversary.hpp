@@ -97,6 +97,27 @@ struct AdversarySnapshot {
 /// aux regions; the reserved quarantine-map region is out of scope).
 AdversarySnapshot snapshot_device(SecureMemoryBase& mem);
 
+// Single-line attack steps: the building blocks of the scenarios below,
+// exposed for hand-made attacks. They act on the device alone, as an
+// attacker on the bus would; no scheme state changes.
+
+/// Record one line (block image + both tag sidecars) into `snap`
+/// (bus snooping), replacing any earlier recording of it.
+void record_line(NvmDevice& dev, Addr addr, AdversarySnapshot& snap);
+
+/// Replay `addr` from `snap`: restore its recorded image and tags. A line
+/// the snapshot never saw is erased to blank instead (a destructive scan),
+/// and the call returns false.
+bool replay_line(NvmDevice& dev, Addr addr, const AdversarySnapshot& snap);
+
+/// Tamper with a stored line: XOR `mask` into byte `byte_index`.
+void tamper_line(NvmDevice& dev, Addr addr, std::size_t byte_index = 0,
+                 std::uint8_t mask = 0x01);
+
+/// Overwrite a stored line's block image (forged records, bitmap lines);
+/// its tag sidecars stay as they are.
+void overwrite_line(NvmDevice& dev, Addr addr, const Block& data);
+
 /// Apply one scenario's post-crash mutation against the device: replay
 /// stale versions from the snapshot, forge or tear tracking lines. Must run
 /// after crash() so ADR-resident structures have reached the device.

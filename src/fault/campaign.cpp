@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
+#include "fault/crash_harness.hpp"
 
 namespace steins {
 
@@ -62,6 +63,11 @@ const char* fault_verdict_name(FaultVerdict v) {
       return "recovery-crash-unrecoverable";
   }
   return "?";
+}
+
+bool verdict_passes(FaultVerdict v) {
+  return v != FaultVerdict::kSilentCorruption &&
+         v != FaultVerdict::kRecoveryCrashUnrecoverable;
 }
 
 std::vector<SchemeSpec> campaign_schemes(CounterMode mode) {
@@ -292,29 +298,31 @@ TrialOutcome run_fault_trial_hooked(const SchemeSpec& spec, FaultClass cls,
     out.recovery_attempts = r.attempt_count();
     out.recovery_seconds = r.seconds;
     out.resume_cursor = r.resume_cursor;
-    if (r.recovery_gave_up) {
-      // The bounded retry budget ran out with the machine still down: an
-      // availability failure, reported as its own verdict.
-      out.verdict = FaultVerdict::kRecoveryCrashUnrecoverable;
-      out.detail = r.status.message();
-      return true;
+    const RecoveryClass recovery = classify_recovery(r);
+    switch (recovery) {
+      case RecoveryClass::kGaveUp:
+        // The bounded retry budget ran out with the machine still down: an
+        // availability failure, reported as its own verdict.
+        out.verdict = FaultVerdict::kRecoveryCrashUnrecoverable;
+        out.detail = r.status.message();
+        return true;
+      case RecoveryClass::kUnsupported:
+        detected("scheme reports recovery unsupported", "unsupported");
+        return true;
+      case RecoveryClass::kInternalError:
+        // The salvage contract: recovery never aborts — an error Status
+        // smuggled out of it is an internal failure, scored as the bug it is.
+        silent("recovery internal error: " + r.status.to_string());
+        return true;
+      case RecoveryClass::kAttackDetected:
+        detected("recovery flagged: " + r.attack_detail,
+                 classify_detect_layer(r.attack_detail));
+        return true;
+      case RecoveryClass::kDegraded:
+      case RecoveryClass::kClean:
+        break;
     }
-    if (!r.status.ok()) {
-      // The salvage contract: recovery never aborts — an error Status
-      // smuggled out of it is an internal failure, scored as the bug it is.
-      silent("recovery internal error: " + r.status.to_string());
-      return true;
-    }
-    if (!r.supported) {
-      detected("scheme reports recovery unsupported", "unsupported");
-      return true;
-    }
-    if (r.attack_detected) {
-      detected("recovery flagged: " + r.attack_detail,
-               classify_detect_layer(r.attack_detail));
-      return true;
-    }
-    bool degraded = r.degraded() || runtime_degraded;
+    bool degraded = recovery == RecoveryClass::kDegraded || runtime_degraded;
     std::uint64_t unavailable_reads = 0;
 
     // Full audit: every block the workload ever wrote must read back as an
@@ -517,24 +525,31 @@ MulticycleOutcome run_multicycle_trial(const SchemeSpec& spec, FaultClass cls,
     out.attempts_per_cycle.push_back(r.attempt_count());
     out.recovery_seconds_per_cycle.push_back(r.seconds);
     if (r.attempt_count() > 1) retried = true;
-    if (r.recovery_gave_up) {
-      out.verdict = FaultVerdict::kRecoveryCrashUnrecoverable;
-      out.detail = "cycle " + std::to_string(c) + ": " + r.status.message();
-      return out;
+    const std::string cycle = "cycle " + std::to_string(c);
+    switch (classify_recovery(r)) {
+      case RecoveryClass::kGaveUp:
+        out.verdict = FaultVerdict::kRecoveryCrashUnrecoverable;
+        out.detail = cycle + ": " + r.status.message();
+        return out;
+      case RecoveryClass::kUnsupported:
+        out.verdict = FaultVerdict::kDetected;
+        out.detail = cycle + ": scheme reports recovery unsupported";
+        return out;
+      case RecoveryClass::kInternalError:
+        out.verdict = FaultVerdict::kSilentCorruption;
+        out.detail = cycle + " recovery internal error: " + r.status.to_string();
+        return out;
+      case RecoveryClass::kAttackDetected:
+        out.verdict = FaultVerdict::kDetected;
+        out.detail = cycle + " recovery flagged: " + r.attack_detail;
+        if (!events.empty()) out.detail += " [" + events + "]";
+        return out;
+      case RecoveryClass::kDegraded:
+        degraded = true;
+        break;
+      case RecoveryClass::kClean:
+        break;
     }
-    if (r.attack_detected) {
-      out.verdict = FaultVerdict::kDetected;
-      out.detail = "cycle " + std::to_string(c) + " recovery flagged: " + r.attack_detail;
-      if (!events.empty()) out.detail += " [" + events + "]";
-      return out;
-    }
-    if (!r.status.ok()) {
-      out.verdict = FaultVerdict::kSilentCorruption;
-      out.detail = "cycle " + std::to_string(c) + " recovery internal error: " +
-                   r.status.to_string();
-      return out;
-    }
-    degraded = degraded || r.degraded();
 
     // Audit: every written block serves an authentic version from
     // [checkpoint, latest] (or refuses with a typed error when degraded).
@@ -629,64 +644,40 @@ CampaignResult run_fault_campaign(const CampaignOptions& opts) {
   return result;
 }
 
+void CampaignCell::add(FaultVerdict v) {
+  switch (v) {
+    case FaultVerdict::kDetected:
+      ++detected;
+      break;
+    case FaultVerdict::kRecovered:
+      ++recovered;
+      break;
+    case FaultVerdict::kSalvaged:
+      ++salvaged;
+      break;
+    case FaultVerdict::kSilentCorruption:
+      ++silent;
+      break;
+    case FaultVerdict::kRecoveredAfterRetry:
+      ++recovered_retry;
+      break;
+    case FaultVerdict::kRecoveryCrashUnrecoverable:
+      ++unrecoverable;
+      break;
+  }
+}
+
 CampaignCell CampaignResult::cell(const std::string& scheme, FaultClass cls) const {
   CampaignCell c;
   for (const TrialOutcome& o : outcomes) {
-    if (o.scheme != scheme || o.cls != cls) continue;
-    switch (o.verdict) {
-      case FaultVerdict::kDetected:
-        ++c.detected;
-        break;
-      case FaultVerdict::kRecovered:
-        ++c.recovered;
-        break;
-      case FaultVerdict::kSalvaged:
-        ++c.salvaged;
-        break;
-      case FaultVerdict::kSilentCorruption:
-        ++c.silent;
-        break;
-      case FaultVerdict::kRecoveredAfterRetry:
-        ++c.recovered_retry;
-        break;
-      case FaultVerdict::kRecoveryCrashUnrecoverable:
-        ++c.unrecoverable;
-        break;
-    }
+    if (o.scheme == scheme && o.cls == cls) c.add(o.verdict);
   }
   return c;
 }
 
-std::uint64_t CampaignResult::silent_total() const {
-  std::uint64_t n = 0;
-  for (const TrialOutcome& o : outcomes) {
-    if (o.verdict == FaultVerdict::kSilentCorruption) ++n;
-  }
-  return n;
-}
-
-std::uint64_t CampaignResult::salvaged_total() const {
-  std::uint64_t n = 0;
-  for (const TrialOutcome& o : outcomes) {
-    if (o.verdict == FaultVerdict::kSalvaged) ++n;
-  }
-  return n;
-}
-
-std::uint64_t CampaignResult::retried_total() const {
-  std::uint64_t n = 0;
-  for (const TrialOutcome& o : outcomes) {
-    if (o.verdict == FaultVerdict::kRecoveredAfterRetry) ++n;
-  }
-  return n;
-}
-
-std::uint64_t CampaignResult::unrecoverable_total() const {
-  std::uint64_t n = 0;
-  for (const TrialOutcome& o : outcomes) {
-    if (o.verdict == FaultVerdict::kRecoveryCrashUnrecoverable) ++n;
-  }
-  return n;
+std::uint64_t CampaignResult::count(FaultVerdict v) const {
+  return static_cast<std::uint64_t>(std::count_if(
+      outcomes.begin(), outcomes.end(), [v](const TrialOutcome& o) { return o.verdict == v; }));
 }
 
 std::vector<const TrialOutcome*> CampaignResult::silent_outcomes() const {

@@ -54,6 +54,10 @@ enum class FaultVerdict {
 
 const char* fault_verdict_name(FaultVerdict v);
 
+/// False for the two forbidden verdicts, silent corruption and an
+/// exhausted recovery-retry budget; every other verdict passes.
+bool verdict_passes(FaultVerdict v);
+
 /// Workload shape of one trial (small enough that thousands of trials —
 /// each with its own scheme instance and SCUE's whole-tree recovery — stay
 /// fast, large enough to keep the metadata cache under eviction pressure).
@@ -139,6 +143,7 @@ struct CampaignCell {
   std::uint64_t silent = 0;
   std::uint64_t recovered_retry = 0;  // converged only after re-entry
   std::uint64_t unrecoverable = 0;    // retry budget exhausted, machine down
+  void add(FaultVerdict v);
   std::uint64_t total() const {
     return detected + recovered + salvaged + silent + recovered_retry + unrecoverable;
   }
@@ -149,10 +154,13 @@ struct CampaignResult {
   std::vector<TrialOutcome> outcomes;  // trial-major, scheme-minor order
 
   CampaignCell cell(const std::string& scheme, FaultClass cls) const;
-  std::uint64_t silent_total() const;
-  std::uint64_t salvaged_total() const;
-  std::uint64_t retried_total() const;        // recovered-after-retry trials
-  std::uint64_t unrecoverable_total() const;  // retry budget exhausted
+  std::uint64_t count(FaultVerdict v) const;  // trials with verdict v
+  std::uint64_t silent_total() const { return count(FaultVerdict::kSilentCorruption); }
+  std::uint64_t salvaged_total() const { return count(FaultVerdict::kSalvaged); }
+  std::uint64_t retried_total() const { return count(FaultVerdict::kRecoveredAfterRetry); }
+  std::uint64_t unrecoverable_total() const {
+    return count(FaultVerdict::kRecoveryCrashUnrecoverable);
+  }
   std::vector<const TrialOutcome*> silent_outcomes() const;
 
   /// Verdict matrix (+ silent trial details when verbose).

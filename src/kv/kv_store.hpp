@@ -159,9 +159,6 @@ class KvStore {
   };
   DegradedDump dump_degraded();
 
-  /// Number of persist (clwb+fence) barriers issued so far.
-  std::uint64_t persists() const { return persists_; }
-
   /// Called immediately BEFORE each persist barrier with a stage label
   /// ("record" or "commit") and the barrier's index. Crash-injection tests
   /// throw from here: everything persisted earlier is durable, the store

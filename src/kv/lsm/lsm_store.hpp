@@ -146,9 +146,6 @@ class LsmStore {
   const LsmStats& stats() const { return stats_; }
   const LsmLayout& layout() const { return layout_; }
 
-  /// Number of persist barriers issued so far (all stages).
-  std::uint64_t persists() const { return stats_.persist_barriers; }
-
   /// Called immediately BEFORE each persist barrier with its stage label:
   /// "wal", "flush-data", "flush-footer", "compact-data",
   /// "compact-footer", "manifest-data", "manifest-commit". Crash tests

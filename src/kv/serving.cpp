@@ -631,17 +631,21 @@ std::uint64_t count_serving_accesses(const SystemConfig& cfg, Scheme scheme,
   return run_engine(cfg, scfg, kNoStop, nullptr).total_accesses;
 }
 
-ServingCrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
-                                     const ServingConfig& scfg,
-                                     const ServingCrashOptions& opt) {
-  ServingCrashReport rep;
+CrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
+                              const ServingConfig& scfg, const ServingCrashOptions& opt) {
+  CrashReport rep;
+  rep.store = "serving";
+  rep.scheme = scheme_name(scheme, cfg.counter_mode);
+  rep.seed = scfg.seed;
+  rep.fault_class = opt.fault_class;
+  rep.fault_seed = opt.fault_seed;
   validate_serving_config(cfg, scfg);
-  rep.total_accesses = count_serving_accesses(cfg, scheme, scfg);
+  rep.total_boundaries = count_serving_accesses(cfg, scheme, scfg);
   if (opt.crash_at == ServingCrashOptions::kRandomBoundary) {
     Xoshiro256 rng(derive_stream_seed(scfg.seed, 0xC2A54ULL));
-    rep.crash_at = rng.below(rep.total_accesses + 1);
+    rep.crash_at = rng.below(rep.total_boundaries + 1);
   } else {
-    rep.crash_at = std::min(opt.crash_at, rep.total_accesses);
+    rep.crash_at = std::min(opt.crash_at, rep.total_boundaries);
   }
 
   MultiControllerMemory mem(cfg, scheme, scfg.shards);
@@ -666,27 +670,7 @@ ServingCrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
 
   const RecoveryResult r = mem.crash_and_recover_all(scfg.jobs);
   for (std::uint32_t s = 0; s < scfg.shards; ++s) mem.set_fault_injector(s, nullptr);
-  rep.recovery_supported = r.supported;
-  rep.recovery_ok = r.ok();
-  rep.recovery_seconds = r.seconds;
-  if (!r.supported) {
-    rep.detail = "scheme reports recovery unsupported";
-    return rep;
-  }
-  if (r.recovery_gave_up) {
-    rep.detail = "recovery retry budget exhausted: " + r.status.message();
-    return rep;
-  }
-  if (!r.status.ok()) {
-    rep.detail = "recovery internal error: " + r.status.to_string();
-    return rep;
-  }
-  if (r.attack_detected) {
-    rep.fault_detected = rep.faulted;
-    rep.detail = "recovery flagged: " + r.attack_detail;
-    return rep;
-  }
-  rep.salvaged = r.degraded();
+  if (!record_recovery(r, rep)) return rep;
 
   // Diff the recovered image against the durable commit state: every
   // durable commit word must read back EXACTLY (a diverging word is a
@@ -722,7 +706,7 @@ ServingCrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
           now = std::max(now, ctrl.read_block(layout.commit_block_addr(first), now, &b));
         } catch (const StatusError& e) {
           if (!is_unavailable(e.code())) throw;
-          rep.slots_unavailable += durable_live;
+          rep.keys_unavailable += durable_live;
           continue;
         }
         for (std::size_t i = 0; i < n; ++i) {
@@ -737,14 +721,14 @@ ServingCrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
           }
           const CommitWord word = CommitWord::decode(got);
           if (word.empty() || !word.live) continue;
-          ++rep.committed_slots;
+          ++rep.committed_keys;
           Block recb;
           try {
             now = std::max(
                 now, ctrl.read_block(layout.record_addr(slot, word.replica), now, &recb));
           } catch (const StatusError& e) {
             if (!is_unavailable(e.code())) throw;
-            ++rep.slots_unavailable;
+            ++rep.keys_unavailable;
             continue;
           }
           KvRecord rec;
@@ -767,7 +751,7 @@ ServingCrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
     rep.detail = std::string("readback failed untyped: ") + e.what();
     return rep;
   }
-  if (rep.slots_unavailable > 0) rep.salvaged = true;
+  if (rep.keys_unavailable > 0) rep.salvaged = true;
   if (rep.salvaged) {
     rep.degraded_verified = true;
   } else {

@@ -74,6 +74,7 @@
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
+#include "fault/crash_harness.hpp"
 #include "fault/fault.hpp"
 #include "kv/kv_store.hpp"
 #include "kv/ycsb.hpp"
@@ -168,41 +169,14 @@ struct ServingCrashOptions {
   std::uint64_t fault_seed = 0;
 };
 
-struct ServingCrashReport {
-  std::uint64_t total_accesses = 0;
-  std::uint64_t crash_at = 0;
-  std::uint64_t committed_slots = 0;   // durable live slots at the crash
-  /// FNV-1a digest of every shard's durable commit words at the crash
-  /// (shard order): pins exactly which commit writes fell below crash_at.
-  std::uint64_t durable_digest = 0;
-  bool recovery_supported = false;
-  bool recovery_ok = false;
-  bool verified = false;               // durable diff exact, no salvage
-  bool salvaged = false;               // recovery degraded but attack-free
-  bool degraded_verified = false;      // readable slots all matched
-  std::uint64_t slots_unavailable = 0; // durable slots behind typed errors
-  bool faulted = false;
-  bool fault_detected = false;
-  double recovery_seconds = 0.0;
-  std::string detail;
-
-  /// Same verdict shape as KvCrashReport: WB passes by being detected as
-  /// unrecoverable; others pass on exact verification, verified salvage,
-  /// or (under an injected fault) detection. Silent divergence never
-  /// passes.
-  bool pass(Scheme scheme) const {
-    if (scheme == Scheme::kWriteBack) return !recovery_supported;
-    if (recovery_ok && verified) return true;
-    if (salvaged && degraded_verified) return true;
-    return faulted && fault_detected;
-  }
-};
-
 /// Plan the full run once to learn the access count, then re-run it with
 /// the crash injected at the chosen boundary, recover every controller
 /// (in parallel when scfg.jobs > 1 — bit-identical), and diff the
-/// recovered image against the durable commit state.
-ServingCrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
+/// recovered image against the durable commit state. The report counts
+/// boundaries in global accesses (total_boundaries), committed keys in
+/// durable live slots, and pins the durable commit words in
+/// durable_digest; crash_verdict() scores it like any store crash.
+CrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
                                      const ServingConfig& scfg,
                                      const ServingCrashOptions& opt);
 

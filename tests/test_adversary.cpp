@@ -388,10 +388,9 @@ TEST(KvAdversary, RollbackDuringCrashIsNeverSilent) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     opt.seed = seed;
     opt.adversary_seed = seed * 101;
-    const kv::KvCrashReport r =
-        kv::run_kv_crash_validation(small_config(), Scheme::kSteins, opt);
+    const CrashReport r = kv::run_kv_crash_validation(small_config(), Scheme::kSteins, opt);
     EXPECT_TRUE(r.faulted);
-    EXPECT_TRUE(r.pass(Scheme::kSteins)) << "seed " << seed << ": " << r.detail;
+    EXPECT_TRUE(testutil::crash_passes(r, Scheme::kSteins)) << testutil::crash_why(r);
     injected = injected || r.adversary_injected;
   }
   EXPECT_TRUE(injected) << "no seed produced a landed mutation";

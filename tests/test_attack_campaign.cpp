@@ -18,6 +18,8 @@
 namespace steins {
 namespace {
 
+using testutil::crash_passes;
+using testutil::crash_why;
 using testutil::small_config;
 
 /// 14 trials = each of the 7 scenarios drawn twice per scheme; the reduced
@@ -112,7 +114,7 @@ TEST(AttackCampaign, OnlyTrialReproducesTheFullRunSlot) {
 
 // Every recoverable scheme, attacked through the KV crash harness: the
 // post-crash mutation must never let recovery + reopen serve uncommitted
-// or stale values (pass() = exact recovery, verified salvage, or
+// or stale values (a passing verdict = exact recovery, verified salvage, or
 // detection).
 class KvAdversaryScheme
     : public ::testing::TestWithParam<std::tuple<Scheme, AdversaryScenario>> {};
@@ -125,9 +127,9 @@ TEST_P(KvAdversaryScheme, CrashWithAdversaryStillPasses) {
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     opt.seed = seed;
     opt.adversary_seed = seed * 7919;
-    const kv::KvCrashReport r = kv::run_kv_crash_validation(small_config(), scheme, opt);
+    const CrashReport r = kv::run_kv_crash_validation(small_config(), scheme, opt);
     EXPECT_TRUE(r.faulted);
-    EXPECT_TRUE(r.pass(scheme)) << "seed " << seed << ": " << r.detail;
+    EXPECT_TRUE(crash_passes(r, scheme)) << crash_why(r);
   }
 }
 
@@ -151,10 +153,9 @@ TEST(LsmAdversary, CrashWithRollbackStillPasses) {
     opt.seed = 3;
     opt.adversary = s;
     opt.adversary_seed = 0x5eed;
-    const lsm::LsmCrashReport r = lsm::run_lsm_crash_validation(cfg, Scheme::kSteins, opt);
-    EXPECT_TRUE(r.faulted) << adversary_scenario_name(s);
-    EXPECT_TRUE(r.pass(Scheme::kSteins))
-        << adversary_scenario_name(s) << ": " << r.detail;
+    const CrashReport r = lsm::run_lsm_crash_validation(cfg, Scheme::kSteins, opt);
+    EXPECT_TRUE(r.faulted) << crash_why(r);
+    EXPECT_TRUE(crash_passes(r, Scheme::kSteins)) << crash_why(r);
   }
 }
 

@@ -5,7 +5,7 @@
 
 #include <vector>
 
-#include "schemes/attack.hpp"
+#include "fault/adversary.hpp"
 #include "schemes/steins.hpp"
 #include "test_util.hpp"
 
@@ -42,8 +42,7 @@ TEST_P(AttackLocalization, TamperedStaleNodeReportedAtItsLevel) {
   if (candidates.empty()) GTEST_SKIP() << "no persisted dirty node at level " << level;
 
   mem.crash();
-  AttackInjector attacker(mem);
-  attacker.tamper_node(candidates.front(), 20);
+  tamper_line(mem.device(), mem.geometry().node_addr(candidates.front()), 20);
   const RecoveryResult r = mem.recover();
   ASSERT_TRUE(r.attack_detected);
   // The tampered node fails either its own stale verification (reported at
@@ -62,8 +61,7 @@ TEST(AttackLocalization, TamperedDataReportedAtLeafLevel) {
   d.write(1234);
   d.write(1234);  // leaf dirty at crash
   mem.crash();
-  AttackInjector attacker(mem);
-  attacker.tamper_block(1234 * kBlockSize, 9);
+  tamper_line(mem.device(), 1234 * kBlockSize, 9);
   const RecoveryResult r = mem.recover();
   ASSERT_TRUE(r.attack_detected);
   EXPECT_EQ(r.attacked_level, 0) << r.attack_detail;

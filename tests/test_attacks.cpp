@@ -6,7 +6,7 @@
 #include <cstring>
 
 #include "schemes/anubis.hpp"
-#include "schemes/attack.hpp"
+#include "fault/adversary.hpp"
 #include "schemes/star.hpp"
 #include "schemes/steins.hpp"
 #include "test_util.hpp"
@@ -47,8 +47,7 @@ TEST(SteinsAttacks, TamperedChildDetectedDuringRecovery) {
   ASSERT_TRUE(find_dirty_internal_with_child(mem, &node, &child));
 
   mem.crash();
-  AttackInjector attacker(mem);
-  attacker.tamper_node(child, 10);
+  tamper_line(mem.device(), mem.geometry().node_addr(child), 10);
   const RecoveryResult r = mem.recover();
   EXPECT_TRUE(r.attack_detected);
   EXPECT_NE(r.attack_detail.find("tamper"), std::string::npos) << r.attack_detail;
@@ -61,8 +60,8 @@ TEST(SteinsAttacks, ReplayedChildDetectedDuringRecovery) {
   // Snapshot a persisted child of a future dirty node, then advance it.
   NodeId node, child;
   ASSERT_TRUE(find_dirty_internal_with_child(mem, &node, &child));
-  AttackInjector attacker(mem);
-  attacker.record_node(child);
+  AdversarySnapshot recorded;
+  record_line(mem.device(), mem.geometry().node_addr(child), recorded);
 
   // Keep writing: the child's persistent version advances as it gets
   // evicted and re-flushed.
@@ -73,7 +72,7 @@ TEST(SteinsAttacks, ReplayedChildDetectedDuringRecovery) {
   // snapshot is a no-op and no attack happened.
   const Addr caddr = mem.geometry().node_addr(child);
   const Block current = mem.device().peek_block(caddr);
-  ASSERT_TRUE(attacker.replay_block(caddr));
+  ASSERT_TRUE(replay_line(mem.device(), caddr, recorded));
   if (mem.device().peek_block(caddr) == current) {
     GTEST_SKIP() << "child image did not advance; replay is a no-op";
   }
@@ -93,11 +92,10 @@ TEST(SteinsAttacks, ErasedRecordsDetected) {
 
   // Forge the record region: mark everything clean (dirty -> clean attack,
   // §III-H). The per-level increments then sum to less than the LIncs.
-  AttackInjector attacker(mem);
   const Addr base = mem.geometry().aux_base();
   const std::size_t lines = (mem.metadata_cache().num_lines() + 15) / 16;
   for (std::size_t i = 0; i < lines; ++i) {
-    attacker.overwrite_block(base + i * kBlockSize, zero_block());
+    overwrite_line(mem.device(), base + i * kBlockSize, zero_block());
   }
   const RecoveryResult r = mem.recover();
   EXPECT_TRUE(r.attack_detected);
@@ -118,7 +116,6 @@ TEST(SteinsAttacks, MarkingCleanNodesDirtyIsHarmless) {
   // Forge extra record entries pointing at clean nodes (clean -> dirty
   // direction, §III-H): recovery must still succeed, with increment 0 for
   // the clean nodes.
-  AttackInjector attacker(mem);
   const SitGeometry& geo = mem.geometry();
   const Addr base = geo.aux_base();
   const std::size_t lines = (mem.metadata_cache().num_lines() + 15) / 16;
@@ -146,7 +143,7 @@ TEST(SteinsAttacks, MarkingCleanNodesDirtyIsHarmless) {
         break;
       }
     }
-    if (changed) attacker.overwrite_block(laddr, forged);
+    if (changed) overwrite_line(mem.device(), laddr, forged);
   }
   ASSERT_GT(planted, 0);
 
@@ -160,13 +157,13 @@ TEST(SteinsAttacks, ReplayedDataBlockDetected) {
   Driver d(mem);
   d.write(77);
   mem.flush_all_metadata();
-  AttackInjector attacker(mem);
-  attacker.record_block(77 * kBlockSize);
+  AdversarySnapshot recorded;
+  record_line(mem.device(), 77 * kBlockSize, recorded);
   // Advance the block so its leaf is dirty at crash time.
   d.write(77);
   d.write(77);
   mem.crash();
-  ASSERT_TRUE(attacker.replay_block(77 * kBlockSize));
+  ASSERT_TRUE(replay_line(mem.device(), 77 * kBlockSize, recorded));
   const RecoveryResult r = mem.recover();
   EXPECT_TRUE(r.attack_detected);
 }
@@ -176,12 +173,11 @@ TEST(AnubisAttacks, TamperedShadowEntryDetected) {
   Driver d(mem);
   d.write_random(1500, 100'000);
   mem.crash();
-  AttackInjector attacker(mem);
   // The shadow table starts at aux_base; corrupt one entry that exists.
   const Addr base = mem.geometry().aux_base();
   for (std::size_t i = 0; i < mem.metadata_cache().num_lines(); ++i) {
     if (mem.device().contains(base + i * kBlockSize)) {
-      attacker.tamper_block(base + i * kBlockSize, 8);
+      tamper_line(mem.device(), base + i * kBlockSize, 8);
       break;
     }
   }
@@ -200,14 +196,13 @@ TEST(StarAttacks, ForgedBitmapDetected) {
 
   // Clear the bitmap line covering one dirty node (dirty -> clean forgery):
   // the recovered dirty set then disagrees with the cache-tree root.
-  AttackInjector attacker(mem);
   const auto& [offset, node] = *dirty.begin();
   const Addr base = mem.geometry().aux_base();
   const Addr line_addr = base + (offset / 512) * kBlockSize;
   Block line = mem.device().peek_block(line_addr);
   const std::size_t bit = offset % 512;
   line[bit / 8] = static_cast<std::uint8_t>(line[bit / 8] & ~(1u << (bit % 8)));
-  attacker.overwrite_block(line_addr, line);
+  overwrite_line(mem.device(), line_addr, line);
   (void)node;
 
   const RecoveryResult r = mem.recover();
@@ -220,13 +215,13 @@ TEST(StarAttacks, ReplayedChildLsbsDetected) {
   d.write_random(1500, 120'000);
   NodeId node, child;
   ASSERT_TRUE(find_dirty_internal_with_child(mem, &node, &child));
-  AttackInjector attacker(mem);
-  attacker.record_node(child);
+  AdversarySnapshot recorded;
+  record_line(mem.device(), mem.geometry().node_addr(child), recorded);
   d.write_random(3000, 120'000);
   mem.crash();
   const Addr caddr = mem.geometry().node_addr(child);
   const Block current = mem.device().peek_block(caddr);
-  ASSERT_TRUE(attacker.replay_block(caddr));
+  ASSERT_TRUE(replay_line(mem.device(), caddr, recorded));
   if (mem.device().peek_block(caddr) == current) {
     GTEST_SKIP() << "child image did not advance; replay is a no-op";
   }

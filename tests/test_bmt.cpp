@@ -4,7 +4,7 @@
 
 #include <map>
 
-#include "schemes/attack.hpp"
+#include "fault/adversary.hpp"
 #include "schemes/bmt.hpp"
 #include "schemes/writeback.hpp"
 #include "test_util.hpp"
@@ -101,8 +101,7 @@ TEST(Bmt, TamperedDataDetectedAtRecovery) {
   t = mem.write_block(0x4000, data, t);
   t = mem.write_block(0x4000, data, t);
   mem.crash();
-  AttackInjector attacker(mem);
-  attacker.tamper_block(0x4000, 7);
+  tamper_line(mem.device(), 0x4000, 7);
   const RecoveryResult r = mem.recover();
   EXPECT_TRUE(r.attack_detected);
 }
@@ -113,8 +112,7 @@ TEST(Bmt, RuntimeTamperDetected) {
   Cycle t = 0;
   t = mem.write_block(0x8000, data, t);
   mem.channel().drain_all(t);
-  AttackInjector attacker(mem);
-  attacker.tamper_block(0x8000, 1);
+  tamper_line(mem.device(), 0x8000, 1);
   Block out;
   EXPECT_THROW(mem.read_block(0x8000, t, &out), IntegrityViolation);
 }

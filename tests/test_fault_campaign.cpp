@@ -89,10 +89,9 @@ TEST_P(KvFaultScheme, SurvivesOrDetectsEveryFaultClass) {
       opt.seed = seed;
       opt.fault_class = cls;
       opt.fault_seed = seed * 1000 + static_cast<std::uint64_t>(cls);
-      const kv::KvCrashReport r = kv::run_kv_crash_validation(cfg, GetParam(), opt);
+      const CrashReport r = kv::run_kv_crash_validation(cfg, GetParam(), opt);
       EXPECT_TRUE(r.faulted);
-      EXPECT_TRUE(r.pass(GetParam()))
-          << fault_class_name(cls) << " seed " << seed << ": " << r.detail;
+      EXPECT_TRUE(testutil::crash_passes(r, GetParam())) << testutil::crash_why(r);
     }
   }
 }
@@ -100,10 +99,10 @@ TEST_P(KvFaultScheme, SurvivesOrDetectsEveryFaultClass) {
 TEST(KvFault, CleanCrashStillVerifies) {
   kv::KvCrashOptions opt;
   opt.ops = 24;
-  const kv::KvCrashReport r =
+  const CrashReport r =
       kv::run_kv_crash_validation(testutil::small_config(), Scheme::kSteins, opt);
   EXPECT_FALSE(r.faulted);
-  EXPECT_TRUE(r.verified) << r.detail;
+  EXPECT_TRUE(r.verified) << testutil::crash_why(r);
 }
 
 }  // namespace

@@ -16,6 +16,8 @@
 namespace steins::kv {
 namespace {
 
+using testutil::crash_passes;
+using testutil::crash_why;
 using testutil::small_config;
 
 TEST(KvLayout, AddressesAreDisjointAndInRegion) {
@@ -145,10 +147,10 @@ TEST(KvStore, TombstoneSlotsAreReused) {
 TEST(KvCrash, WriteBackIsDetectedUnrecoverable) {
   KvCrashOptions opt;
   opt.ops = 16;
-  const KvCrashReport r = run_kv_crash_validation(small_config(), Scheme::kWriteBack, opt);
+  const CrashReport r = run_kv_crash_validation(small_config(), Scheme::kWriteBack, opt);
   EXPECT_FALSE(r.recovery_supported);
-  EXPECT_TRUE(r.pass(Scheme::kWriteBack));
-  EXPECT_FALSE(r.pass(Scheme::kSteins));  // the same report fails a real scheme
+  EXPECT_TRUE(crash_passes(r, Scheme::kWriteBack)) << crash_why(r);
+  EXPECT_FALSE(crash_passes(r, Scheme::kSteins));  // the same report fails a real scheme
 }
 
 class KvCrashScheme : public ::testing::TestWithParam<Scheme> {};
@@ -159,40 +161,33 @@ INSTANTIATE_TEST_SUITE_P(RecoverableSchemes, KvCrashScheme,
                          [](const auto& info) { return param_name(info.param); });
 
 // The exhaustive matrix: kill the store before EVERY persist barrier of a
-// small deterministic script; each crash point must recover to exactly the
-// committed model.
+// small deterministic script (one dry run, then one trial per boundary
+// 0..total); each crash point must recover to exactly the committed model.
 TEST_P(KvCrashScheme, RecoversAtEveryPersistBoundary) {
-  const SystemConfig cfg = small_config();
   KvCrashOptions opt;
   opt.ops = 10;
   opt.keys = 4;
   opt.slots = 32;
   opt.value_bytes = 8;
-
-  opt.crash_at = 0;
-  KvCrashReport first = run_kv_crash_validation(cfg, GetParam(), opt);
-  ASSERT_TRUE(first.pass(GetParam())) << first.detail;
-  ASSERT_GT(first.total_persists, 0u);
-
-  for (std::uint64_t at = 1; at <= first.total_persists; ++at) {
-    opt.crash_at = at;
-    const KvCrashReport r = run_kv_crash_validation(cfg, GetParam(), opt);
-    EXPECT_TRUE(r.pass(GetParam()))
-        << "crash before persist " << at << "/" << r.total_persists << ": " << r.detail;
-    EXPECT_EQ(r.total_persists, first.total_persists);
-  }
+  const CrashMatrix m =
+      run_kv_crash_matrix(small_config(), GetParam(), opt, /*stride=*/1, /*jobs=*/1);
+  ASSERT_GT(m.total_boundaries, 0u);
+  EXPECT_EQ(m.total(), m.total_boundaries + 1);
+  EXPECT_EQ(m.recovered, m.total()) << m.failure_lines();
+  EXPECT_TRUE(m.failures.empty()) << m.failure_lines();
 }
 
 TEST(KvCrash, RandomBoundaryIsDeterministicPerSeed) {
   KvCrashOptions opt;
   opt.ops = 24;
-  const KvCrashReport a = run_kv_crash_validation(small_config(), Scheme::kSteins, opt);
-  const KvCrashReport b = run_kv_crash_validation(small_config(), Scheme::kSteins, opt);
-  EXPECT_TRUE(a.pass(Scheme::kSteins)) << a.detail;
+  const CrashReport a = run_kv_crash_validation(small_config(), Scheme::kSteins, opt);
+  const CrashReport b = run_kv_crash_validation(small_config(), Scheme::kSteins, opt);
+  EXPECT_TRUE(crash_passes(a, Scheme::kSteins)) << crash_why(a);
   EXPECT_EQ(a.crash_at, b.crash_at);
+  EXPECT_EQ(a.repro(), b.repro());
   opt.seed = 2;
-  const KvCrashReport c = run_kv_crash_validation(small_config(), Scheme::kSteins, opt);
-  EXPECT_TRUE(c.pass(Scheme::kSteins)) << c.detail;
+  const CrashReport c = run_kv_crash_validation(small_config(), Scheme::kSteins, opt);
+  EXPECT_TRUE(crash_passes(c, Scheme::kSteins)) << crash_why(c);
 }
 
 TEST(YcsbDriver, MixesProduceExpectedShapes) {

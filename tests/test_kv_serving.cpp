@@ -12,6 +12,8 @@
 namespace steins::kv {
 namespace {
 
+using testutil::crash_passes;
+using testutil::crash_why;
 using testutil::small_config;
 
 ServingConfig small_serving(unsigned shards, std::uint64_t ops = 6000) {
@@ -166,10 +168,8 @@ TEST(KvServing, CrashBoundarySweepReportsZeroSilent) {
     for (std::uint64_t at = stride / 2; at < total; at += stride) {
       ServingCrashOptions opt;
       opt.crash_at = at;
-      const ServingCrashReport rep = run_serving_crash(cfg, scheme, scfg, opt);
-      EXPECT_TRUE(rep.pass(scheme))
-          << scheme_name(scheme, cfg.counter_mode) << " at access " << at << "/"
-          << total << ": " << rep.detail;
+      const CrashReport rep = run_serving_crash(cfg, scheme, scfg, opt);
+      EXPECT_TRUE(crash_passes(rep, scheme)) << crash_why(rep);
       EXPECT_EQ(rep.crash_at, at);
     }
   }
@@ -187,8 +187,8 @@ TEST(KvServing, CrashWithGroupCommitWindowHonorsDurableBoundary) {
   for (std::uint64_t at = stride / 3; at < total; at += stride) {
     ServingCrashOptions opt;
     opt.crash_at = at;
-    const ServingCrashReport rep = run_serving_crash(cfg, Scheme::kSteins, scfg, opt);
-    EXPECT_TRUE(rep.pass(Scheme::kSteins)) << "at " << at << ": " << rep.detail;
+    const CrashReport rep = run_serving_crash(cfg, Scheme::kSteins, scfg, opt);
+    EXPECT_TRUE(crash_passes(rep, Scheme::kSteins)) << crash_why(rep);
   }
 }
 
@@ -199,15 +199,15 @@ TEST(KvServing, CrashRecoveryIsJobsIndependent) {
   ServingCrashOptions opt;
   opt.crash_at = total / 2;
   scfg.jobs = 1;
-  const ServingCrashReport a = run_serving_crash(cfg, Scheme::kSteins, scfg, opt);
+  const CrashReport a = run_serving_crash(cfg, Scheme::kSteins, scfg, opt);
   scfg.jobs = 4;
-  const ServingCrashReport b = run_serving_crash(cfg, Scheme::kSteins, scfg, opt);
+  const CrashReport b = run_serving_crash(cfg, Scheme::kSteins, scfg, opt);
   EXPECT_EQ(a.crash_at, b.crash_at);
-  EXPECT_EQ(a.committed_slots, b.committed_slots);
+  EXPECT_EQ(a.committed_keys, b.committed_keys);
   EXPECT_EQ(a.verified, b.verified);
   EXPECT_EQ(a.salvaged, b.salvaged);
   EXPECT_EQ(a.detail, b.detail);
-  EXPECT_TRUE(a.pass(Scheme::kSteins)) << a.detail;
+  EXPECT_TRUE(crash_passes(a, Scheme::kSteins)) << crash_why(a);
 }
 
 TEST(KvServing, MatchesSequentialEngineGoldenValues) {
@@ -244,16 +244,16 @@ TEST(KvServing, MatchesSequentialEngineGoldenValues) {
     for (const CrashGolden& g : crashes) {
       ServingCrashOptions opt;
       opt.crash_at = g.crash_at;
-      const ServingCrashReport rep = run_serving_crash(cfg, Scheme::kSteins, scfg, opt);
-      const std::string at = what + " crash_at=" + std::to_string(g.crash_at);
-      EXPECT_EQ(rep.total_accesses, 13960u) << at;
+      const CrashReport rep = run_serving_crash(cfg, Scheme::kSteins, scfg, opt);
+      const std::string at = what + " " + rep.repro();
+      EXPECT_EQ(rep.total_boundaries, 13960u) << at;
       EXPECT_EQ(rep.crash_at, g.crash_at) << at;
       EXPECT_EQ(rep.durable_digest, g.durable_digest) << at;
-      EXPECT_EQ(rep.committed_slots, 1200u) << at;
+      EXPECT_EQ(rep.committed_keys, 1200u) << at;
       EXPECT_DOUBLE_EQ(rep.recovery_seconds, g.recovery_seconds) << at;
       EXPECT_TRUE(rep.verified) << at << ": " << rep.detail;
       EXPECT_FALSE(rep.salvaged) << at;
-      EXPECT_TRUE(rep.pass(Scheme::kSteins)) << at << ": " << rep.detail;
+      EXPECT_TRUE(crash_passes(rep, Scheme::kSteins)) << at << ": " << rep.detail;
     }
   }
 }

@@ -13,26 +13,20 @@
 namespace steins::lsm {
 namespace {
 
+using testutil::crash_passes;
+using testutil::crash_why;
 using testutil::small_config;
-
-std::string matrix_failures(const LsmCrashMatrix& m) {
-  std::string all;
-  for (const auto& [boundary, detail] : m.failures) {
-    all += "boundary " + std::to_string(boundary) + ": " + detail + "\n";
-  }
-  return all;
-}
 
 TEST(LsmCampaign, ExhaustiveBoundarySweepEveryScheme) {
   LsmCrashOptions opt;
   opt.ops = 96;
   for (const Scheme scheme : {Scheme::kWriteBack, Scheme::kAnubis, Scheme::kStar,
                               Scheme::kSteins, Scheme::kScue}) {
-    const LsmCrashMatrix m = run_lsm_crash_matrix(small_config(), scheme, opt,
+    const CrashMatrix m = run_lsm_crash_matrix(small_config(), scheme, opt,
                                                   /*stride=*/1, /*jobs=*/4);
     EXPECT_EQ(m.silent, 0u) << "scheme " << static_cast<int>(scheme) << "\n"
-                            << matrix_failures(m);
-    EXPECT_EQ(m.trials, m.total_persists + 1);
+                            << m.failure_lines();
+    EXPECT_EQ(m.total(), m.total_boundaries + 1);
     // Every protocol stage must appear in the sweep.
     for (const char* stage :
          {"wal", "flush-data", "flush-footer", "compact-data", "compact-footer",
@@ -56,11 +50,9 @@ TEST(LsmCampaign, FaultFoldedCrashesNeverSilent) {
         opt.seed = trial + 1;
         opt.fault_class = cls;
         opt.fault_seed = trial * 1000 + 7;
-        const LsmCrashReport r = run_lsm_crash_validation(small_config(), scheme, opt);
-        EXPECT_TRUE(r.pass(scheme))
-            << "scheme " << static_cast<int>(scheme) << " fault "
-            << fault_class_name(cls) << " trial " << trial << ": " << r.detail;
-        EXPECT_NE(std::string(lsm_crash_verdict(r, scheme)), "silent");
+        const CrashReport r = run_lsm_crash_validation(small_config(), scheme, opt);
+        EXPECT_TRUE(crash_passes(r, scheme)) << crash_why(r);
+        EXPECT_NE(crash_verdict(r, scheme), FaultVerdict::kSilentCorruption);
       }
     }
   }
@@ -74,10 +66,9 @@ TEST(LsmCampaign, ManifestLossSweepAlwaysDetected) {
       opt.ops = 64;
       opt.crash_at = boundary;
       opt.manifest_loss = true;
-      const LsmCrashReport r = run_lsm_crash_validation(small_config(), scheme, opt);
-      EXPECT_TRUE(r.pass(scheme)) << "boundary " << boundary << ": " << r.detail;
-      EXPECT_EQ(std::string(lsm_crash_verdict(r, scheme)), "detected")
-          << "scheme " << static_cast<int>(scheme) << " boundary " << boundary;
+      const CrashReport r = run_lsm_crash_validation(small_config(), scheme, opt);
+      EXPECT_TRUE(crash_passes(r, scheme)) << crash_why(r);
+      EXPECT_EQ(crash_verdict(r, scheme), FaultVerdict::kDetected) << crash_why(r);
     }
   }
 }

@@ -11,30 +11,24 @@
 namespace steins::lsm {
 namespace {
 
+using testutil::crash_passes;
+using testutil::crash_why;
 using testutil::small_config;
-
-std::string matrix_failures(const LsmCrashMatrix& m) {
-  std::string all;
-  for (const auto& [boundary, detail] : m.failures) {
-    all += "boundary " + std::to_string(boundary) + ": " + detail + "\n";
-  }
-  return all;
-}
 
 TEST(LsmCrash, StridedSweepHasNoSilentCorruptionPerScheme) {
   LsmCrashOptions opt;
   opt.ops = 72;
   for (const Scheme scheme : {Scheme::kWriteBack, Scheme::kAnubis, Scheme::kStar,
                               Scheme::kSteins, Scheme::kScue}) {
-    const LsmCrashMatrix m =
+    const CrashMatrix m =
         run_lsm_crash_matrix(small_config(), scheme, opt, /*stride=*/17, /*jobs=*/1);
-    EXPECT_GT(m.trials, 4u);
+    EXPECT_GT(m.total(), 4u);
     EXPECT_EQ(m.silent, 0u) << "scheme " << static_cast<int>(scheme) << "\n"
-                            << matrix_failures(m);
+                            << m.failure_lines();
     if (scheme == Scheme::kWriteBack) {
-      EXPECT_EQ(m.detected, m.trials);  // WB: every crash detected unrecoverable
+      EXPECT_EQ(m.detected, m.total());  // WB: every crash detected unrecoverable
     } else {
-      EXPECT_EQ(m.recovered + m.salvaged, m.trials);
+      EXPECT_EQ(m.recovered + m.salvaged, m.total());
     }
   }
 }
@@ -42,7 +36,7 @@ TEST(LsmCrash, StridedSweepHasNoSilentCorruptionPerScheme) {
 TEST(LsmCrash, SweepCoversEveryPersistStage) {
   LsmCrashOptions opt;
   opt.ops = 72;
-  const LsmCrashMatrix m =
+  const CrashMatrix m =
       run_lsm_crash_matrix(small_config(), Scheme::kSteins, opt, 1, /*jobs=*/4);
   // The script + small geometry must hit every protocol stage, or the
   // sweep proves nothing about the stages it missed.
@@ -50,32 +44,32 @@ TEST(LsmCrash, SweepCoversEveryPersistStage) {
                             "compact-footer", "manifest-data", "manifest-commit"}) {
     EXPECT_TRUE(m.stage_trials.contains(stage)) << "stage " << stage << " never hit";
   }
-  EXPECT_EQ(m.silent, 0u) << matrix_failures(m);
+  EXPECT_EQ(m.silent, 0u) << m.failure_lines();
 }
 
 TEST(LsmCrash, SingleBoundaryReportsReproduce) {
   LsmCrashOptions opt;
   opt.ops = 48;
   opt.crash_at = 37;
-  const LsmCrashReport a = run_lsm_crash_validation(small_config(), Scheme::kSteins, opt);
-  const LsmCrashReport b = run_lsm_crash_validation(small_config(), Scheme::kSteins, opt);
-  EXPECT_TRUE(a.pass(Scheme::kSteins)) << a.detail;
+  const CrashReport a = run_lsm_crash_validation(small_config(), Scheme::kSteins, opt);
+  const CrashReport b = run_lsm_crash_validation(small_config(), Scheme::kSteins, opt);
+  EXPECT_TRUE(crash_passes(a, Scheme::kSteins)) << crash_why(a);
   EXPECT_EQ(a.crash_at, b.crash_at);
   EXPECT_EQ(a.crash_stage, b.crash_stage);
   EXPECT_EQ(a.committed_keys, b.committed_keys);
-  EXPECT_EQ(a.total_persists, b.total_persists);
-  EXPECT_EQ(std::string(lsm_crash_verdict(a, Scheme::kSteins)),
-            std::string(lsm_crash_verdict(b, Scheme::kSteins)));
+  EXPECT_EQ(a.total_boundaries, b.total_boundaries);
+  EXPECT_EQ(a.repro(), b.repro());
+  EXPECT_EQ(crash_verdict(a, Scheme::kSteins), crash_verdict(b, Scheme::kSteins));
 }
 
 TEST(LsmCrash, MatrixIsDeterministicAcrossJobCounts) {
   LsmCrashOptions opt;
   opt.ops = 48;
-  const LsmCrashMatrix seq =
+  const CrashMatrix seq =
       run_lsm_crash_matrix(small_config(), Scheme::kSteins, opt, 29, /*jobs=*/1);
-  const LsmCrashMatrix par =
+  const CrashMatrix par =
       run_lsm_crash_matrix(small_config(), Scheme::kSteins, opt, 29, /*jobs=*/4);
-  EXPECT_EQ(seq.trials, par.trials);
+  EXPECT_EQ(seq.total(), par.total());
   EXPECT_EQ(seq.recovered, par.recovered);
   EXPECT_EQ(seq.detected, par.detected);
   EXPECT_EQ(seq.salvaged, par.salvaged);
@@ -86,15 +80,14 @@ TEST(LsmCrash, MatrixIsDeterministicAcrossJobCounts) {
 TEST(LsmCrash, ManifestLossIsDetectedNeverServed) {
   LsmCrashOptions opt;
   opt.ops = 48;
-  opt.crash_at = LsmCrashOptions::kRandomBoundary;
+  opt.crash_at = CrashOptions::kRandomBoundary;
   opt.manifest_loss = true;
   for (const Scheme scheme :
        {Scheme::kAnubis, Scheme::kStar, Scheme::kSteins, Scheme::kScue}) {
-    const LsmCrashReport r = run_lsm_crash_validation(small_config(), scheme, opt);
-    EXPECT_TRUE(r.pass(scheme)) << r.detail;
-    EXPECT_TRUE(r.fault_detected) << "scheme " << static_cast<int>(scheme)
-                                  << " served a lost manifest: " << r.detail;
-    EXPECT_EQ(std::string(lsm_crash_verdict(r, scheme)), "detected");
+    const CrashReport r = run_lsm_crash_validation(small_config(), scheme, opt);
+    EXPECT_TRUE(crash_passes(r, scheme)) << crash_why(r);
+    EXPECT_TRUE(r.fault_detected) << "served a lost manifest: " << crash_why(r);
+    EXPECT_EQ(crash_verdict(r, scheme), FaultVerdict::kDetected) << crash_why(r);
   }
 }
 
@@ -106,8 +99,8 @@ TEST(LsmCrash, TornWalTailIsReportedOnMidWalCrashes) {
   bool saw_torn = false;
   for (std::uint64_t b = 10; b < 60 && !saw_torn; ++b) {
     opt.crash_at = b;
-    const LsmCrashReport r = run_lsm_crash_validation(small_config(), Scheme::kSteins, opt);
-    ASSERT_TRUE(r.pass(Scheme::kSteins)) << "boundary " << b << ": " << r.detail;
+    const CrashReport r = run_lsm_crash_validation(small_config(), Scheme::kSteins, opt);
+    ASSERT_TRUE(crash_passes(r, Scheme::kSteins)) << crash_why(r);
     if (r.crash_stage == "wal" && r.wal_torn) saw_torn = true;
   }
   EXPECT_TRUE(saw_torn);

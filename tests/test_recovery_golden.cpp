@@ -18,7 +18,7 @@
 
 #include "common/thread_pool.hpp"
 #include "fault/fault.hpp"
-#include "schemes/attack.hpp"
+#include "fault/adversary.hpp"
 #include "schemes/steins.hpp"
 
 namespace steins {
@@ -196,7 +196,7 @@ GoldenRun run_case(CounterMode mode, GoldenCase c) {
     NvmDevice& dev = mem.device();
     EXPECT_TRUE(dev.remap_line(geo.node_addr(*erased)));  // drops the image
     dev.inject_ecc_error(geo.node_addr(*dead), 5, false, 0);
-    AttackInjector(mem).tamper_block(tampered, 7);
+    tamper_line(mem.device(), tampered, 7);
   }
 
   FaultInjector injector(FaultPlan::derive(FaultClass::kNone, 1, 0));

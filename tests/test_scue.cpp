@@ -2,7 +2,7 @@
 // verification, whole-tree reconstruction recovery.
 #include <gtest/gtest.h>
 
-#include "schemes/attack.hpp"
+#include "fault/adversary.hpp"
 #include "schemes/scue.hpp"
 #include "schemes/steins.hpp"
 #include "test_util.hpp"
@@ -81,12 +81,12 @@ TEST(Scue, ReplayedDataDetectedByRecoveryRoot) {
   Driver d(mem);
   d.write(55);
   mem.flush_all_metadata();
-  AttackInjector attacker(mem);
-  attacker.record_block(55 * kBlockSize);
+  AdversarySnapshot recorded;
+  record_line(mem.device(), 55 * kBlockSize, recorded);
   d.write(55);
   d.write(55);
   mem.crash();
-  ASSERT_TRUE(attacker.replay_block(55 * kBlockSize));
+  ASSERT_TRUE(replay_line(mem.device(), 55 * kBlockSize, recorded));
   const RecoveryResult r = mem.recover();
   EXPECT_TRUE(r.attack_detected);
 }

@@ -6,7 +6,7 @@
 
 #include <memory>
 
-#include "schemes/attack.hpp"
+#include "fault/adversary.hpp"
 #include "schemes/steins.hpp"
 #include "secure/secure_memory.hpp"
 #include "test_util.hpp"
@@ -81,8 +81,7 @@ TEST_P(SchemeDataPath, TamperedDataDetectedOnRead) {
   Driver d(*mem);
   d.write(7);
   base->flush_all_metadata();
-  AttackInjector attacker(*mem);
-  attacker.tamper_block(7 * kBlockSize, 3);
+  tamper_line(mem->device(), 7 * kBlockSize, 3);
   base->metadata_cache().clear();
   EXPECT_THROW(d.read_check(7), IntegrityViolation);
 }
@@ -97,8 +96,7 @@ TEST_P(SchemeDataPath, TamperedNodeDetectedOnFetch) {
   // Tamper the leaf covering block 0's first written address.
   const auto first = d.versions().begin()->first;
   const NodeId leaf = mem->geometry().leaf_of_data(first / kBlockSize);
-  AttackInjector attacker(*mem);
-  attacker.tamper_node(leaf, 5);
+  tamper_line(mem->device(), mem->geometry().node_addr(leaf), 5);
   EXPECT_THROW(d.read_check(first / kBlockSize), IntegrityViolation);
 }
 
@@ -109,12 +107,13 @@ TEST_P(SchemeDataPath, ReplayedNodeDetectedOnFetch) {
   d.write(11);
   base->flush_all_metadata();
   const NodeId leaf = mem->geometry().leaf_of_data(11);
-  AttackInjector attacker(*mem);
-  attacker.record_node(leaf);  // snapshot the old version
+  const Addr leaf_addr = mem->geometry().node_addr(leaf);
+  AdversarySnapshot recorded;
+  record_line(mem->device(), leaf_addr, recorded);  // snapshot the old version
   d.write(11);                 // advance the counter
   base->flush_all_metadata();
   base->metadata_cache().clear();
-  ASSERT_TRUE(attacker.replay_node(leaf));  // splice the old node back
+  ASSERT_TRUE(replay_line(mem->device(), leaf_addr, recorded));  // splice the old node back
   EXPECT_THROW(d.read_check(11), IntegrityViolation);
 }
 

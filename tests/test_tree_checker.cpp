@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "schemes/attack.hpp"
+#include "fault/adversary.hpp"
 #include "schemes/steins.hpp"
 #include "sit/tree_checker.hpp"
 #include "test_util.hpp"
@@ -157,10 +157,9 @@ TEST(TreeCheckerDetect, FindsTamperedNode) {
 
   // Corrupt an arbitrary persisted leaf and expect exactly that complaint.
   const SitGeometry& geo = mem.geometry();
-  AttackInjector attacker(mem);
   for (std::uint64_t i = 0; i < geo.level_count(0); ++i) {
     if (mem.device().contains(geo.node_addr({0, i}))) {
-      attacker.tamper_node({0, i}, 13);
+      tamper_line(mem.device(), mem.geometry().node_addr({0, i}), 13);
       break;
     }
   }
@@ -189,7 +188,7 @@ void damaged_tree_matches_exhaustive(CounterMode mode) {
 
   // Tamper with the first persisted leaf.
   const NodeId tampered = geo.node_at(persisted.front());
-  AttackInjector(mem).tamper_node(tampered, 9);
+  tamper_line(mem.device(), mem.geometry().node_addr(tampered), 9);
 
   // Erase the last persisted node whose parent counter is nonzero.
   std::optional<NodeId> erased;

@@ -3,10 +3,12 @@
 
 #include <cstring>
 #include <map>
+#include <string>
 
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "fault/crash_harness.hpp"
 #include "secure/secure_memory.hpp"
 #include "test_printers.hpp"
 
@@ -93,5 +95,15 @@ inline std::map<std::uint64_t, SitNode> dirty_snapshot(SecureMemoryBase& mem) {
   });
   return snap;
 }
+
+/// The crash-harness pass predicate: the report's verdict is neither
+/// silent corruption nor an exhausted recovery-retry budget.
+inline bool crash_passes(const CrashReport& r, Scheme scheme) {
+  return verdict_passes(crash_verdict(r, scheme));
+}
+
+/// Assertion text for a crash report: the line that reproduces the trial,
+/// then what went wrong.
+inline std::string crash_why(const CrashReport& r) { return r.repro() + ": " + r.detail; }
 
 }  // namespace steins::testutil

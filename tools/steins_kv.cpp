@@ -174,10 +174,14 @@ struct SchemeOutcome {
   ServingResult serving;  // filled in --serve mode instead of ycsb
   double host_s = 0.0;    // host steady-clock seconds of the serving call
   bool crash_ran = false;
-  KvCrashReport crash;
-  ServingCrashReport scrash;  // --serve --crash
+  CrashReport crash;  // KV crash validation, or the serving crash with --serve
   bool crash_pass = true;
 };
+
+/// A failing crash validation prints the line that reproduces it.
+void print_repro(const SchemeOutcome& o) {
+  if (o.crash_ran && !o.crash_pass) std::fprintf(stderr, "  %s\n", o.crash.repro().c_str());
+}
 
 double cycles_to_ns(const SystemConfig& cfg, double cycles) {
   return cfg.cycles_to_seconds(1) * 1e9 * cycles;
@@ -243,15 +247,15 @@ void emit_json(const Options& opt, const SystemConfig& cfg,
       os << "]";
       if (o.crash_ran) {
         os << ", \"crash\": {\"pass\": " << (o.crash_pass ? "true" : "false")
-           << ", \"crash_at\": " << o.scrash.crash_at
-           << ", \"total_accesses\": " << o.scrash.total_accesses
-           << ", \"committed_slots\": " << o.scrash.committed_slots
-           << ", \"durable_digest\": \"" << std::hex << o.scrash.durable_digest << std::dec
+           << ", \"crash_at\": " << o.crash.crash_at
+           << ", \"total_accesses\": " << o.crash.total_boundaries
+           << ", \"committed_slots\": " << o.crash.committed_keys
+           << ", \"durable_digest\": \"" << std::hex << o.crash.durable_digest << std::dec
            << "\""
-           << ", \"verified\": " << (o.scrash.verified ? "true" : "false")
-           << ", \"salvaged\": " << (o.scrash.salvaged ? "true" : "false")
-           << ", \"recovery_seconds\": " << num(o.scrash.recovery_seconds)
-           << ", \"detail\": \"" << json_escape(o.scrash.detail) << "\"}";
+           << ", \"verified\": " << (o.crash.verified ? "true" : "false")
+           << ", \"salvaged\": " << (o.crash.salvaged ? "true" : "false")
+           << ", \"recovery_seconds\": " << num(o.crash.recovery_seconds)
+           << ", \"detail\": \"" << json_escape(o.crash.detail) << "\"}";
       }
       os << "}";
       continue;
@@ -268,7 +272,7 @@ void emit_json(const Options& opt, const SystemConfig& cfg,
          << ", \"verified\": " << (o.crash.verified ? "true" : "false")
          << ", \"pass\": " << (o.crash_pass ? "true" : "false")
          << ", \"crash_at\": " << o.crash.crash_at
-         << ", \"total_persists\": " << o.crash.total_persists
+         << ", \"total_persists\": " << o.crash.total_boundaries
          << ", \"committed_keys\": " << o.crash.committed_keys
          << ", \"recovery_seconds\": " << num(o.crash.recovery_seconds)
          << ", \"recovery_attempts\": " << o.crash.recovery_attempts
@@ -378,19 +382,19 @@ int main(int argc, char** argv) {
         if (opt.crash) {
           o.crash_ran = true;
           ServingCrashOptions sopt;  // random boundary from the seed
-          o.scrash = run_serving_crash(cfg, scheme, scfg, sopt);
-          o.crash_pass = o.scrash.pass(scheme);
+          o.crash = run_serving_crash(cfg, scheme, scfg, sopt);
+          o.crash_pass = verdict_passes(crash_verdict(o.crash, scheme));
           all_pass = all_pass && o.crash_pass;
           if (scheme == Scheme::kWriteBack) {
             crash_note = o.crash_pass ? "unrecoverable (detected, as expected)"
                                       : "FAIL: WB not detected as unrecoverable";
           } else if (o.crash_pass) {
-            crash_note = "ok (crash at access " + std::to_string(o.scrash.crash_at) +
-                         "/" + std::to_string(o.scrash.total_accesses) + ", " +
-                         std::to_string(o.scrash.committed_slots) +
+            crash_note = "ok (crash at access " + std::to_string(o.crash.crash_at) +
+                         "/" + std::to_string(o.crash.total_boundaries) + ", " +
+                         std::to_string(o.crash.committed_keys) +
                          " slots verified)";
           } else {
-            crash_note = "FAIL: " + o.scrash.detail;
+            crash_note = "FAIL: " + o.crash.detail;
           }
         }
         std::printf("%-11s %10.1f %9.0f %9.0f %9.0f %8llu %7.1f %8.3f   %s\n",
@@ -400,6 +404,7 @@ int main(int argc, char** argv) {
                     cycles_to_ns(cfg, o.serving.all_lat.percentile(99.9)),
                     static_cast<unsigned long long>(o.serving.shed_ops),
                     o.serving.batch_sizes.mean(), o.host_s, crash_note.c_str());
+        print_repro(o);
         outcomes.push_back(std::move(o));
       }
       if (!opt.json_path.empty()) emit_json(opt, cfg, outcomes);
@@ -430,14 +435,14 @@ int main(int argc, char** argv) {
       if (opt.crash) {
         o.crash_ran = true;
         o.crash = run_kv_crash_validation(cfg, scheme, ccfg);
-        o.crash_pass = o.crash.pass(scheme);
+        o.crash_pass = verdict_passes(crash_verdict(o.crash, scheme));
         all_pass = all_pass && o.crash_pass;
         if (scheme == Scheme::kWriteBack) {
           crash_note = o.crash_pass ? "unrecoverable (detected, as expected)"
                                     : "FAIL: WB not detected as unrecoverable";
         } else if (o.crash_pass) {
           crash_note = "ok (killed before persist " + std::to_string(o.crash.crash_at) +
-                       "/" + std::to_string(o.crash.total_persists) + ", " +
+                       "/" + std::to_string(o.crash.total_boundaries) + ", " +
                        std::to_string(o.crash.committed_keys) + " keys verified";
           if (o.crash.recovery_attempts > 1) {
             crash_note += ", " + std::to_string(o.crash.recovery_attempts) +
@@ -453,6 +458,7 @@ int main(int argc, char** argv) {
                   cycles_to_ns(cfg, o.ycsb.all_lat.percentile(95)),
                   cycles_to_ns(cfg, o.ycsb.all_lat.percentile(99)),
                   cycles_to_ns(cfg, o.ycsb.all_lat.percentile(99.9)), crash_note.c_str());
+      print_repro(o);
       outcomes.push_back(std::move(o));
     }
   } catch (const std::exception& e) {

@@ -9,8 +9,9 @@
 // with --crash also the crash-at-persist-boundary matrix: the scripted
 // workload killed at every stride-th persist barrier, recovered, reopened
 // and diffed against the committed model. Exit status is nonzero if any
-// scheme's matrix reports silent corruption (or WB is not detected as
-// unrecoverable).
+// scheme's matrix has a failing verdict (silent corruption, an exhausted
+// recovery-retry budget, or WB not detected as unrecoverable); each
+// failing trial prints the line that reproduces it.
 //
 // Flag parsing is strict: unknown --flags and flags missing their value
 // are errors (exit 2), never silently ignored.
@@ -130,7 +131,7 @@ struct SchemeOutcome {
   std::string label;
   LsmYcsbResult ycsb;
   bool crash_ran = false;
-  LsmCrashMatrix matrix;
+  CrashMatrix matrix;
   bool crash_pass = true;
 };
 
@@ -177,12 +178,12 @@ void emit_json(const Options& opt, const SystemConfig& cfg,
        << ", \"all\": " << lat(o.ycsb.all_lat) << ", \"read\": " << lat(o.ycsb.read_lat)
        << ", \"update\": " << lat(o.ycsb.update_lat);
     if (o.crash_ran) {
-      os << ", \"crash_matrix\": {\"trials\": " << o.matrix.trials
+      os << ", \"crash_matrix\": {\"trials\": " << o.matrix.total()
          << ", \"recovered\": " << o.matrix.recovered
          << ", \"detected\": " << o.matrix.detected
          << ", \"salvaged\": " << o.matrix.salvaged
          << ", \"silent\": " << o.matrix.silent
-         << ", \"total_persists\": " << o.matrix.total_persists
+         << ", \"total_persists\": " << o.matrix.total_boundaries
          << ", \"pass\": " << (o.crash_pass ? "true" : "false") << "}";
     }
     os << "}";
@@ -258,9 +259,9 @@ int main(int argc, char** argv) {
       if (opt.crash) {
         o.crash_ran = true;
         o.matrix = run_lsm_crash_matrix(cfg, scheme, ccfg, opt.crash_stride, opt.jobs);
-        o.crash_pass = o.matrix.silent == 0;
+        o.crash_pass = o.matrix.failures.empty();
         all_pass = all_pass && o.crash_pass;
-        crash_note = std::to_string(o.matrix.trials) + " trials: " +
+        crash_note = std::to_string(o.matrix.total()) + " trials: " +
                      std::to_string(o.matrix.recovered) + " recovered, " +
                      std::to_string(o.matrix.detected) + " detected, " +
                      std::to_string(o.matrix.salvaged) + " salvaged, " +
@@ -271,6 +272,8 @@ int main(int argc, char** argv) {
                   o.ycsb.kops_per_sec, cycles_to_ns(cfg, o.ycsb.all_lat.percentile(50)),
                   cycles_to_ns(cfg, o.ycsb.all_lat.percentile(99)), o.ycsb.write_amp,
                   o.ycsb.logical_write_amp, crash_note.c_str());
+      // Every failing trial prints the line that reproduces it.
+      std::fprintf(stderr, "%s", o.matrix.failure_lines().c_str());
       outcomes.push_back(std::move(o));
     }
   } catch (const std::exception& e) {
