@@ -4,8 +4,9 @@
 //
 // Positional argv[1] (or STEINS_ACCESSES) sets the trial count, STEINS_SEED
 // overrides the campaign seed, and --jobs/--json/--verbose follow the other
-// benches. Exit status is nonzero on any silent-corruption verdict — or an
-// endurance integrity breach — so CI can gate on the artifact it uploads.
+// benches. Exit status is nonzero on any failing verdict (verdict_passes:
+// silent corruption, or a recovery that gave up) — or an endurance
+// integrity breach — so CI can gate on the artifact it uploads.
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -67,8 +68,9 @@ int main(int argc, char** argv) {
                    std::strerror(errno));
       return 1;
     }
-    const std::string json =
-        "{\"attack\": " + result.to_json() + ",\n\"endurance\": " + endurance_json + "}\n";
+    const std::string json = "{" + bench::bench_header("attack_campaign", "sim") +
+                             "\"attack\": " + result.to_json() +
+                             ",\n\"endurance\": " + endurance_json + "}\n";
     const bool wrote = std::fwrite(json.data(), 1, json.size(), f) == json.size();
     if (std::fclose(f) != 0 || !wrote) {
       std::fprintf(stderr, "error writing JSON output %s: %s\n", opt.json_path.c_str(),
@@ -78,16 +80,18 @@ int main(int argc, char** argv) {
     std::printf("\nwrote JSON results to %s\n", opt.json_path.c_str());
   }
 
-  if (result.silent_total() > 0) {
-    std::fprintf(stderr, "\nFAIL: %llu silent-corruption verdict(s)\n",
-                 static_cast<unsigned long long>(result.silent_total()));
+  if (result.failed_total() > 0) {
+    std::fprintf(stderr,
+                 "\nFAIL: %llu failing verdict(s) (silent corruption or unrecoverable "
+                 "recovery)\n",
+                 static_cast<unsigned long long>(result.failed_total()));
     return 1;
   }
   if (endurance_failed) {
     std::fprintf(stderr, "\nFAIL: endurance campaign audit mismatch or dirty recovery\n");
     return 1;
   }
-  std::printf("\nPASS: zero silent corruption across %zu verdicts\n",
+  std::printf("\nPASS: zero failing verdicts across %zu verdicts\n",
               result.outcomes.size());
   return 0;
 }

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 
 #include "common/config.hpp"
 #include "common/thread_pool.hpp"
@@ -108,6 +109,41 @@ inline BenchOptions parse_options(int argc, char** argv) {
   return opt;
 }
 
+#if defined(__clang__)
+inline constexpr const char* kCompiler = "clang " __clang_version__;
+#else
+inline constexpr const char* kCompiler = "gcc " __VERSION__;
+#endif
+
+/// HEAD of the source checkout this binary was built from, suffixed
+/// "-dirty" when the work tree has uncommitted changes, or "unknown".
+inline std::string git_commit() {
+  std::string out;
+  if (std::FILE* p = popen("git -C '" STEINS_SOURCE_DIR
+                           "' describe --always --dirty --abbrev=40 2>/dev/null",
+                           "r")) {
+    char buf[64];
+    while (std::fgets(buf, sizeof(buf), p) != nullptr) out += buf;
+    pclose(p);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+  return out.empty() ? "unknown" : out;
+}
+
+/// The members every recorded BENCH_*.json opens with: which bench, the
+/// schema version, which clock (`sim` or `host`) its numbers are on, and
+/// where it ran (git commit, compiler, CPU crypto flags, host threads).
+/// Ends with ",\n " so the bench's own members follow inside the object.
+inline std::string bench_header(const std::string& bench, const char* clock) {
+  return "\"bench\": \"" + bench + "\", \"schema_version\": 1, \"clock\": \"" + clock +
+         "\",\n \"provenance\": {\"git_commit\": \"" + git_commit() +
+         "\", \"compiler\": \"" + kCompiler + "\", \"cpu_flags\": {\"aes_ni\": " +
+         (crypto::cpu_has_aesni() ? "true" : "false") +
+         ", \"sha_ni\": " + (crypto::cpu_has_shani() ? "true" : "false") +
+         "}, \"host_threads\": " + std::to_string(std::thread::hardware_concurrency()) +
+         "},\n ";
+}
+
 inline double metric_exec_time(const RunStats& s) { return static_cast<double>(s.cycles); }
 inline double metric_write_latency(const RunStats& s) { return s.write_latency_cycles; }
 inline double metric_read_latency(const RunStats& s) { return s.read_latency_cycles; }
@@ -120,13 +156,16 @@ inline double metric_energy(const RunStats& s) { return s.energy_nj; }
 
 /// Write `table` (plus the run's sizing, for provenance) as JSON to `path`.
 /// `extra_members` is appended verbatim inside the top-level object (e.g.
-/// `, "p99_table": {...}`). Returns false — with the failing path and OS
-/// error on stderr — if the file cannot be opened or the write does not
-/// complete (e.g. disk full); a recorded bench trajectory must never
-/// silently drop a data point.
+/// `, "p99_table": {...}`); a non-null `bench` opens the object with its
+/// bench_header on the simulated clock. Returns false — with the failing
+/// path and OS error on stderr — if the file cannot be opened or the write
+/// does not complete (e.g. disk full); a recorded bench trajectory must
+/// never silently drop a data point.
 inline bool write_table_json(const std::string& path, const ResultTable& table,
                              const BenchOptions& opt,
-                             const std::string& extra_members = {}) {
+                             const std::string& extra_members = {},
+                             const char* bench = nullptr) {
+  const std::string header = bench != nullptr ? bench_header(bench, "sim") : "";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open JSON output %s: %s\n", path.c_str(),
@@ -135,9 +174,9 @@ inline bool write_table_json(const std::string& path, const ResultTable& table,
   }
   const int written = std::fprintf(
       f,
-      "{\"accesses\": %llu, \"warmup\": %llu, \"jobs\": %u, \"crypto_backend\": \"%s\",\n"
+      "{%s\"accesses\": %llu, \"warmup\": %llu, \"jobs\": %u, \"crypto_backend\": \"%s\",\n"
       " \"table\": %s%s}\n",
-      static_cast<unsigned long long>(opt.accesses),
+      header.c_str(), static_cast<unsigned long long>(opt.accesses),
       static_cast<unsigned long long>(opt.warmup), opt.jobs,
       crypto::backend_name(crypto::active_backend()), table.to_json().c_str(),
       extra_members.c_str());

@@ -1,9 +1,12 @@
 // KV service throughput/tail-latency matrix: every scheme x YCSB mix.
 //
-// Each cell is an independent closed-loop multi-client run over its own
+// Each cell is an independent run of the sharded serving engine
+// (kv/serving.hpp) at the ServingConfig defaults — 4 clients, 2 shards,
+// 10 000 keys, load-aware routing, group commit on — over its own
 // MultiControllerMemory, so the matrix fans out across --jobs threads with
 // bit-identical results to the sequential run. Rows are "SCHEME/mix";
-// columns report throughput and the latency distribution in nanoseconds.
+// columns report simulated throughput and the latency distribution in
+// nanoseconds.
 //
 // Below the matrix, the concurrent serving sweep runs the sharded engine
 // (kv/serving.hpp) at 1, 2, and 4 shards on the Steins scheme — same
@@ -18,7 +21,6 @@
 
 #include "bench_common.hpp"
 #include "kv/serving.hpp"
-#include "kv/ycsb.hpp"
 
 using namespace steins;
 using namespace steins::kv;
@@ -37,14 +39,14 @@ int main(int argc, char** argv) {
   const std::vector<Mix> mixes = {Mix::kA, Mix::kB, Mix::kC, Mix::kF};
 
   std::printf("KV service throughput: schemes x YCSB mixes\n");
-  std::printf("(%llu ops per cell, 4 clients x 2 controllers, zipf 0.99; %u job%s)\n\n",
+  std::printf("(%llu ops per cell, 4 clients x 2 shards, zipf 0.99; %u job%s)\n\n",
               static_cast<unsigned long long>(opt.accesses), opt.jobs,
               opt.jobs == 1 ? "" : "s");
 
   struct Cell {
     Scheme scheme;
     Mix mix;
-    YcsbResult result;
+    ServingResult result;
   };
   std::vector<Cell> cells;
   for (const Scheme s : schemes) {
@@ -52,10 +54,11 @@ int main(int argc, char** argv) {
   }
 
   const auto run_cell = [&](std::size_t i) {
-    YcsbConfig ycfg;
-    ycfg.mix = cells[i].mix;
-    ycfg.ops = opt.accesses;
-    cells[i].result = run_ycsb(cfg, cells[i].scheme, ycfg);
+    ServingConfig scfg;
+    scfg.mix = cells[i].mix;
+    scfg.ops = opt.accesses;
+    scfg.jobs = opt.jobs;
+    cells[i].result = run_sharded_serving(cfg, cells[i].scheme, scfg);
   };
   if (opt.jobs > 1) {
     ThreadPool pool(opt.jobs);
@@ -147,7 +150,7 @@ int main(int argc, char** argv) {
     ex << "\n ], \"speedup_4\": "
        << num(base_kops > 0 ? serving.back().kops_per_sec / base_kops : 0.0) << "}";
     ex << ",\n \"serving_table\": " << stable.to_json();
-    if (bench::write_table_json(opt.json_path, table, opt, ex.str())) {
+    if (bench::write_table_json(opt.json_path, table, opt, ex.str(), "kv_throughput")) {
       std::printf("wrote JSON results to %s\n", opt.json_path.c_str());
     }
   }

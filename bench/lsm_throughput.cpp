@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   }
   table.print();
   if (!opt.json_path.empty()) {
-    if (bench::write_table_json(opt.json_path, table, opt)) {
+    if (bench::write_table_json(opt.json_path, table, opt, {}, "lsm_throughput")) {
       std::printf("wrote JSON results to %s\n", opt.json_path.c_str());
     }
   }

@@ -19,11 +19,9 @@
 #include <cstring>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "crypto/backend.hpp"
 #include "fault/campaign.hpp"
 
 using namespace steins;
@@ -35,27 +33,6 @@ namespace {
 constexpr FaultClass kStormClasses[] = {FaultClass::kNone, FaultClass::kTornWrite,
                                         FaultClass::kAdrLoss};
 constexpr std::uint64_t kCycleCounts[] = {1, 2, 4};
-
-#if defined(__clang__)
-constexpr const char* kCompiler = "clang " __clang_version__;
-#else
-constexpr const char* kCompiler = "gcc " __VERSION__;
-#endif
-
-/// HEAD of the source checkout this binary was built from, suffixed
-/// "-dirty" when the work tree has uncommitted changes, or "unknown".
-std::string git_commit() {
-  std::string out;
-  if (std::FILE* p = popen("git -C '" STEINS_SOURCE_DIR
-                           "' describe --always --dirty --abbrev=40 2>/dev/null",
-                           "r")) {
-    char buf[64];
-    while (std::fgets(buf, sizeof(buf), p) != nullptr) out += buf;
-    pclose(p);
-  }
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
-  return out.empty() ? "unknown" : out;
-}
 
 double percentile(std::vector<double> v, double p) {
   if (v.empty()) return 0.0;
@@ -227,17 +204,9 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.json_path.empty()) {
-    // Shared BENCH header: which bench, which clock, and where it ran. The
-    // verdicts and recovery times below are simulated, so the cells do not
-    // depend on the host or on --jobs.
-    std::string json = std::string("{\"bench\": \"recovery_storm\", \"schema_version\": 1") +
-                       ", \"clock\": \"sim\",\n \"provenance\": {\"git_commit\": \"" +
-                       git_commit() + "\", \"compiler\": \"" + kCompiler + "\"" +
-                       ", \"cpu_flags\": {\"aes_ni\": " +
-                       (crypto::cpu_has_aesni() ? "true" : "false") +
-                       ", \"sha_ni\": " + (crypto::cpu_has_shani() ? "true" : "false") +
-                       "}, \"host_threads\": " +
-                       std::to_string(std::thread::hardware_concurrency()) + "},\n " +
+    // The verdicts and recovery times below are simulated, so the cells do
+    // not depend on the host or on --jobs.
+    std::string json = "{" + bench::bench_header("recovery_storm", "sim") +
                        "\"trials_per_cell\": " + std::to_string(trials) +
                        ", \"seed\": " + std::to_string(seed) +
                        ", \"max_recovery_attempts\": " +

@@ -539,29 +539,10 @@ AttackCell AttackCampaignResult::cell(const std::string& scheme,
   AttackCell c;
   for (const AttackOutcome& o : outcomes) {
     if (o.trial.scheme != scheme || o.scenario != s) continue;
-    switch (o.trial.verdict) {
-      case FaultVerdict::kDetected:
-        ++c.detected;
-        c.latencies.push_back(o.trial.detect_latency);
-        ++c.layers[o.trial.detect_layer];
-        break;
-      case FaultVerdict::kRecovered:
-        ++c.recovered;
-        break;
-      case FaultVerdict::kSalvaged:
-        ++c.salvaged;
-        break;
-      case FaultVerdict::kSilentCorruption:
-        ++c.silent;
-        break;
-      case FaultVerdict::kRecoveredAfterRetry:
-        // Attack trials don't arm nested recovery crashes; fold a retried
-        // convergence into recovered, and a give-up into the failure bucket.
-        ++c.recovered;
-        break;
-      case FaultVerdict::kRecoveryCrashUnrecoverable:
-        ++c.silent;
-        break;
+    c.add(o.trial.verdict);
+    if (o.trial.verdict == FaultVerdict::kDetected) {
+      c.latencies.push_back(o.trial.detect_latency);
+      ++c.layers[o.trial.detect_layer];
     }
     if (o.trial.faults_injected > 0) ++c.injected;
     c.blast_lines.push_back(o.trial.blast_lines + o.trial.blast_subtrees);
@@ -573,25 +554,30 @@ AttackCell AttackCampaignResult::cell(const std::string& scheme,
   return c;
 }
 
-std::uint64_t AttackCampaignResult::silent_total() const {
-  std::uint64_t n = 0;
-  for (const AttackOutcome& o : outcomes) {
-    if (o.trial.verdict == FaultVerdict::kSilentCorruption) ++n;
-  }
-  return n;
+std::uint64_t AttackCampaignResult::count(FaultVerdict v) const {
+  return static_cast<std::uint64_t>(
+      std::count_if(outcomes.begin(), outcomes.end(),
+                    [v](const AttackOutcome& o) { return o.trial.verdict == v; }));
 }
 
-std::vector<const AttackOutcome*> AttackCampaignResult::silent_outcomes() const {
+std::uint64_t AttackCampaignResult::failed_total() const {
+  return failed_outcomes().size();
+}
+
+std::vector<const AttackOutcome*> AttackCampaignResult::failed_outcomes() const {
   std::vector<const AttackOutcome*> out;
   for (const AttackOutcome& o : outcomes) {
-    if (o.trial.verdict == FaultVerdict::kSilentCorruption) out.push_back(&o);
+    if (!verdict_passes(o.trial.verdict)) out.push_back(&o);
   }
   return out;
 }
 
 void AttackCampaignResult::print(bool verbose, std::FILE* out) const {
+  // Retry verdicts only exist when the workload arms nested recovery crashes.
+  const bool nested = options.workload.recovery_crash_boundary != 0;
   std::fprintf(out,
-               "verdict matrix: detected/recovered/salvaged/SILENT per (scheme, scenario)\n");
+               "verdict matrix: detected/recovered/salvaged/SILENT%s per (scheme, scenario)\n",
+               nested ? "/retried/UNRECOVERABLE" : "");
   int label_w = 10;
   for (const SchemeSpec& s : options.schemes) {
     label_w = std::max(label_w, static_cast<int>(s.label.size()) + 2);
@@ -605,12 +591,17 @@ void AttackCampaignResult::print(bool verbose, std::FILE* out) const {
     std::fprintf(out, "%-*s", label_w, spec.label.c_str());
     for (const AdversaryScenario s : options.scenarios) {
       const AttackCell c = cell(spec.label, s);
-      char buf[48];
-      std::snprintf(buf, sizeof buf, "%llu/%llu/%llu/%llu",
-                    static_cast<unsigned long long>(c.detected),
-                    static_cast<unsigned long long>(c.recovered),
-                    static_cast<unsigned long long>(c.salvaged),
-                    static_cast<unsigned long long>(c.silent));
+      char buf[96];
+      const int n = std::snprintf(buf, sizeof buf, "%llu/%llu/%llu/%llu",
+                                  static_cast<unsigned long long>(c.detected),
+                                  static_cast<unsigned long long>(c.recovered),
+                                  static_cast<unsigned long long>(c.salvaged),
+                                  static_cast<unsigned long long>(c.silent));
+      if (nested) {
+        std::snprintf(buf + n, sizeof buf - static_cast<std::size_t>(n), "/%llu/%llu",
+                      static_cast<unsigned long long>(c.recovered_retry),
+                      static_cast<unsigned long long>(c.unrecoverable));
+      }
       std::fprintf(out, " %17s", buf);
     }
     std::fprintf(out, "\n");
@@ -639,18 +630,21 @@ void AttackCampaignResult::print(bool verbose, std::FILE* out) const {
                    layers.c_str());
     }
   }
-  const std::uint64_t silent = silent_total();
-  std::fprintf(out, "\ntrials: %llu x %zu schemes  silent-corruption: %llu\n",
+  std::fprintf(out, "\ntrials: %llu x %zu schemes  silent-corruption: %llu",
                static_cast<unsigned long long>(
                    options.only_trial.has_value() ? 1 : options.trials),
-               options.schemes.size(), static_cast<unsigned long long>(silent));
-  if (silent > 0 || verbose) {
-    for (const AttackOutcome* o : silent_outcomes()) {
-      std::fprintf(out, "SILENT trial %llu scheme %s scenario %s: %s\n  events: %s\n",
-                   static_cast<unsigned long long>(o->trial.trial),
-                   o->trial.scheme.c_str(), adversary_scenario_name(o->scenario),
-                   o->trial.detail.c_str(), o->trial.events.c_str());
-    }
+               options.schemes.size(), static_cast<unsigned long long>(silent_total()));
+  if (nested) {
+    std::fprintf(out, "  recovery-crash-unrecoverable: %llu",
+                 static_cast<unsigned long long>(
+                     count(FaultVerdict::kRecoveryCrashUnrecoverable)));
+  }
+  std::fprintf(out, "\n");
+  for (const AttackOutcome* o : failed_outcomes()) {
+    std::fprintf(out, "FAILED trial %llu scheme %s scenario %s -> %s: %s\n  events: %s\n",
+                 static_cast<unsigned long long>(o->trial.trial), o->trial.scheme.c_str(),
+                 adversary_scenario_name(o->scenario), fault_verdict_name(o->trial.verdict),
+                 o->trial.detail.c_str(), o->trial.events.c_str());
   }
   if (verbose) {
     for (const AttackOutcome& o : outcomes) {
@@ -669,6 +663,7 @@ void AttackCampaignResult::print(bool verbose, std::FILE* out) const {
 }
 
 std::string AttackCampaignResult::to_json() const {
+  const bool nested = options.workload.recovery_crash_boundary != 0;
   std::ostringstream os;
   os << "{\"trials\": " << (options.only_trial.has_value() ? 1 : options.trials)
      << ", \"seed\": " << options.seed << ", \"jobs\": " << options.jobs;
@@ -690,8 +685,12 @@ std::string AttackCampaignResult::to_json() const {
       os << (first ? "" : ",") << "\n  {\"scheme\": \"" << json_escape(spec.label)
          << "\", \"scenario\": \"" << adversary_scenario_name(s)
          << "\", \"detected\": " << c.detected << ", \"recovered\": " << c.recovered
-         << ", \"salvaged\": " << c.salvaged << ", \"silent_corruption\": " << c.silent
-         << ", \"injected\": " << c.injected
+         << ", \"salvaged\": " << c.salvaged << ", \"silent_corruption\": " << c.silent;
+      if (nested) {
+        os << ", \"recovered_after_retry\": " << c.recovered_retry
+           << ", \"recovery_crash_unrecoverable\": " << c.unrecoverable;
+      }
+      os << ", \"injected\": " << c.injected
          << ",\n   \"detect_latency\": {\"p50\": " << percentile(c.latencies, 50)
          << ", \"p95\": " << percentile(c.latencies, 95)
          << ", \"max\": " << (c.latencies.empty() ? 0 : c.latencies.back()) << "}"
@@ -711,15 +710,20 @@ std::string AttackCampaignResult::to_json() const {
       first = false;
     }
   }
-  os << "\n ],\n \"silent_total\": " << silent_total() << ",\n \"silent_trials\": [";
-  const auto silents = silent_outcomes();
-  for (std::size_t i = 0; i < silents.size(); ++i) {
-    const AttackOutcome* o = silents[i];
-    os << (i ? "," : "") << "\n  {\"trial\": " << o->trial.trial << ", \"scheme\": \""
-       << json_escape(o->trial.scheme) << "\", \"scenario\": \""
-       << adversary_scenario_name(o->scenario) << "\", \"detail\": \""
-       << json_escape(o->trial.detail) << "\", \"events\": \""
-       << json_escape(o->trial.events) << "\"}";
+  os << "\n ],\n \"silent_total\": " << silent_total();
+  if (nested) {
+    os << ", \"unrecoverable_total\": " << count(FaultVerdict::kRecoveryCrashUnrecoverable);
+  }
+  os << ",\n \"silent_trials\": [";
+  bool first_silent = true;
+  for (const AttackOutcome& o : outcomes) {
+    if (o.trial.verdict != FaultVerdict::kSilentCorruption) continue;
+    os << (first_silent ? "" : ",") << "\n  {\"trial\": " << o.trial.trial
+       << ", \"scheme\": \"" << json_escape(o.trial.scheme) << "\", \"scenario\": \""
+       << adversary_scenario_name(o.scenario) << "\", \"detail\": \""
+       << json_escape(o.trial.detail) << "\", \"events\": \""
+       << json_escape(o.trial.events) << "\"}";
+    first_silent = false;
   }
   os << "\n ]}\n";
   return os.str();

@@ -151,20 +151,15 @@ struct AttackCampaignOptions {
   std::optional<std::uint64_t> only_trial;    // reproduce one trial index
 };
 
-/// One (scheme, scenario) cell of the verdict matrix, with the detection
-/// telemetry the verdicts alone do not carry.
-struct AttackCell {
-  std::uint64_t detected = 0;
-  std::uint64_t recovered = 0;
-  std::uint64_t salvaged = 0;
-  std::uint64_t silent = 0;
+/// One (scheme, scenario) cell of the verdict matrix: the verdict tally
+/// every campaign keeps (CampaignCell::add), plus the detection telemetry
+/// the verdicts alone do not carry.
+struct AttackCell : CampaignCell {
   std::uint64_t injected = 0;  // trials whose mutation actually landed
   std::vector<std::uint64_t> latencies;     // per detected trial, sorted
   std::vector<std::uint64_t> blast_lines;   // per trial, sorted
   std::vector<std::uint64_t> blast_blocks;  // per trial, sorted
   std::map<std::string, std::uint64_t> layers;  // detect_layer histogram
-
-  std::uint64_t total() const { return detected + recovered + salvaged + silent; }
 };
 
 /// p-th percentile (0-100) of a sorted sample; 0 for an empty one.
@@ -175,14 +170,20 @@ struct AttackCampaignResult {
   std::vector<AttackOutcome> outcomes;  // trial-major, scheme-minor order
 
   AttackCell cell(const std::string& scheme, AdversaryScenario s) const;
-  std::uint64_t silent_total() const;
-  std::vector<const AttackOutcome*> silent_outcomes() const;
+  std::uint64_t count(FaultVerdict v) const;  // trials with verdict v
+  std::uint64_t silent_total() const { return count(FaultVerdict::kSilentCorruption); }
+  /// Trials whose verdict fails the campaign (verdict_passes): silent
+  /// corruption, or a recovery that gave up after nested crashes.
+  std::uint64_t failed_total() const;
+  /// Failing trials (failed_total), in outcome order.
+  std::vector<const AttackOutcome*> failed_outcomes() const;
 
   void print(bool verbose = false, std::FILE* out = stdout) const;
 
   /// Machine-readable record (BENCH_attack.json): options, per-cell verdict
-  /// counts, detection-latency and blast-radius percentiles, layer
-  /// histogram, silent trial details.
+  /// counts (with the retry verdicts when the workload arms nested recovery
+  /// crashes), detection-latency and blast-radius percentiles, layer
+  /// histogram, failing trial details.
   std::string to_json() const;
 };
 

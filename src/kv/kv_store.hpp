@@ -33,8 +33,8 @@
 namespace steins::kv {
 
 /// Block-level geometry of the store's NVM region. Shared by KvStore
-/// (System-based) and the YCSB driver (MultiControllerMemory-based) so
-/// both issue identical access shapes.
+/// (System-based) and the serving engine (one layout per shard of a
+/// MultiControllerMemory) so both issue identical access shapes.
 struct KvLayout {
   Addr base = Addr{1} << 20;
   std::size_t slots = std::size_t{1} << 12;  // power of two

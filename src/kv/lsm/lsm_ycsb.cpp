@@ -25,16 +25,6 @@ std::string make_value(std::uint64_t key, std::uint64_t version,
   return v;
 }
 
-double update_fraction(kv::Mix mix) {
-  switch (mix) {
-    case kv::Mix::kA: return 0.5;
-    case kv::Mix::kB: return 0.05;
-    case kv::Mix::kC: return 0.0;
-    case kv::Mix::kF: return 0.5;  // the RMW half
-  }
-  return 0.0;
-}
-
 }  // namespace
 
 LsmYcsbResult run_lsm_ycsb(const SystemConfig& cfg, Scheme scheme,
@@ -71,7 +61,7 @@ LsmYcsbResult run_lsm_ycsb(const SystemConfig& cfg, Scheme scheme,
   const Cycle start = sys.cpu().now();
 
   LsmYcsbResult res;
-  const double upd = update_fraction(ycfg.mix);
+  const double upd = kv::update_fraction(ycfg.mix);
   const bool rmw = ycfg.mix == kv::Mix::kF;
   Xoshiro256 rng(derive_stream_seed(ycfg.seed, 0x15f));
   ZipfSampler zipf(static_cast<std::size_t>(ycfg.keys), ycfg.zipf_s);

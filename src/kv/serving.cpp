@@ -32,16 +32,6 @@ std::optional<Routing> parse_routing(const std::string& name) {
 
 namespace {
 
-double update_fraction(Mix m) {
-  switch (m) {
-    case Mix::kA: return 0.50;
-    case Mix::kB: return 0.05;
-    case Mix::kC: return 0.00;
-    case Mix::kF: return 0.50;  // the update half is a read-modify-write
-  }
-  return 0.0;
-}
-
 std::uint64_t word_at(const Block& b, std::size_t offset) {
   std::uint64_t w = 0;
   std::memcpy(&w, b.data() + offset, 8);
@@ -52,8 +42,7 @@ void put_word(Block& b, std::size_t offset, std::uint64_t w) {
   std::memcpy(b.data() + offset, &w, 8);
 }
 
-/// Same value encoding as the YCSB driver, so record images stay
-/// cross-checkable between the two drivers.
+/// The value a client writes for (key, version), padded to value_bytes.
 std::string client_value(std::uint64_t key, std::uint64_t version,
                          std::size_t value_bytes) {
   std::string v = "c" + std::to_string(key) + "." + std::to_string(version);

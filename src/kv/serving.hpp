@@ -1,12 +1,16 @@
-// Concurrent sharded KV serving engine over MultiControllerMemory.
+// Concurrent sharded KV serving engine over MultiControllerMemory: the
+// repository's one KV workload driver.
 //
-// Where the YCSB driver (ycsb.hpp) saturates interleaved controllers from
-// one replaying thread, this engine promotes the KV layer into a real
-// serving topology: one SHARD per controller, one worker thread per shard
-// (common/thread_pool.hpp ShardGang), each shard owning a private KvLayout
-// carved out of its controller's local address space. An operation's
-// accesses never cross shards, so shards run genuinely in parallel — on
-// the simulated timelines always, and on host threads when jobs > 1.
+// N closed-loop clients issue YCSB operations (kv/mix.hpp; Zipfian key
+// popularity, theta 0.99 by default) against a serving topology of one
+// SHARD per controller, one worker thread per shard (common/thread_pool.hpp
+// ShardGang), each shard owning a private KvLayout carved out of its
+// controller's local address space. An operation's accesses never cross
+// shards, so shards run genuinely in parallel — on the simulated timelines
+// always, and on host threads when jobs > 1. Each shard serves its queue
+// back to back on its own timeline (a work-conserving FIFO server), an
+// op's latency is the sum of its accesses' service times, queueing
+// included, and the makespan is the busiest shard's span.
 //
 // Every per-shard phase runs on the ShardGang (DESIGN.md §18). A worker
 // touches only its own shard's controller and shadow state; the calling
@@ -77,7 +81,7 @@
 #include "fault/crash_harness.hpp"
 #include "fault/fault.hpp"
 #include "kv/kv_store.hpp"
-#include "kv/ycsb.hpp"
+#include "kv/mix.hpp"
 #include "secure/secure_memory.hpp"
 
 namespace steins::kv {

@@ -554,13 +554,17 @@ void SecureMemoryBase::check_write_allowed(Addr addr) {
 
 void SecureMemoryBase::quarantine_data_line(Addr addr, QuarantineReason reason) {
   if (qmap_.has_line(addr)) return;  // already quarantined
-  // Try to retire the dead line to a spare first; without a spare the line
-  // stays dead and even writes fail fast.
-  const bool remapped = dev_.remap_line(addr);
+  // Retire the dead line to a spare if one is left; without a spare the line
+  // stays dead and even writes fail fast. Record and persist the map before
+  // the remap drops the line's image (throw-before-poke, DESIGN.md §17): a
+  // nested crash at the qmap boundary then leaves the line dead but intact,
+  // and the retried recovery quarantines it again.
+  const bool remapped = dev_.remap_pool_free() > 0;
   qmap_.add_line(addr, reason, remapped);
+  persist_qmap();
+  if (remapped) dev_.remap_line(addr);
   ++ft_stats_.lines_quarantined;
   if (remapped) ++ft_stats_.lines_remapped;
-  persist_qmap();
 }
 
 void SecureMemoryBase::quarantine_node_subtree(NodeId id, QuarantineReason reason) {

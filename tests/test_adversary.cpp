@@ -205,6 +205,35 @@ TEST(AdversaryDetection, WriteBackDeclaresItselfUnrecoverable) {
 // ---------------------------------------------------------------------------
 // Per-cell wear model (NvmConfig::endurance_*).
 
+// A recovery that gives up after nested crashes fails the campaign: the
+// matrix tallies it in its own column (not SILENT), the silent total agrees
+// with the SILENT column, and failed_total() — the tools' exit gate — counts
+// it.
+TEST(AdversaryCampaign, GaveUpRecoveryFailsTheCampaignWithoutPosingAsSilent) {
+  AttackCampaignOptions opts;
+  opts.trials = 4;
+  opts.seed = 42;
+  opts.schemes = {{Scheme::kSteins, CounterMode::kGeneral,
+                   scheme_name(Scheme::kSteins, CounterMode::kGeneral)}};
+  opts.scenarios = {AdversaryScenario::kNodeRollback};
+  opts.workload.recovery_crash_boundary = 1;
+  opts.workload.recovery_crash_rearm = true;
+  opts.workload.retry_policy.max_recovery_attempts = 1;
+  const AttackCampaignResult result = run_attack_campaign(opts);
+  const AttackCell c = result.cell(opts.schemes[0].label, AdversaryScenario::kNodeRollback);
+  const std::uint64_t gave_up = result.count(FaultVerdict::kRecoveryCrashUnrecoverable);
+  EXPECT_GT(gave_up, 0u) << "the armed nested crash never exhausted the budget";
+  EXPECT_EQ(c.total(), result.outcomes.size());
+  EXPECT_EQ(c.silent, result.silent_total());
+  EXPECT_EQ(c.unrecoverable, gave_up);
+  EXPECT_EQ(result.failed_total(), result.silent_total() + gave_up);
+  const std::string json = result.to_json();
+  EXPECT_NE(json.find("\"silent_total\": " + std::to_string(result.silent_total()) +
+                      ", \"unrecoverable_total\": " + std::to_string(gave_up)),
+            std::string::npos)
+      << json;
+}
+
 TEST(WearModel, GaussianLimitsAreDeterministicPerSeed) {
   NvmConfig cfg;
   cfg.endurance_mean_writes = 100;

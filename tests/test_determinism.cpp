@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "kv/ycsb.hpp"
 #include "nvm/nvm_device.hpp"
 #include "sim/experiment.hpp"
 #include "sim/multi_controller.hpp"
@@ -50,15 +49,6 @@ void expect_run_identical(const RunStats& a, const RunStats& b, const std::strin
   EXPECT_EQ(a.mem.aes_ops, b.mem.aes_ops) << where;
 }
 
-void expect_hist_identical(const LatencyHistogram& a, const LatencyHistogram& b,
-                           const std::string& where) {
-  EXPECT_EQ(a.count(), b.count()) << where;
-  EXPECT_EQ(a.max(), b.max()) << where;
-  EXPECT_EQ(a.mean(), b.mean()) << where;  // identical sums, not just close
-  EXPECT_EQ(a.percentile(50.0), b.percentile(50.0)) << where;
-  EXPECT_EQ(a.percentile(99.0), b.percentile(99.0)) << where;
-}
-
 // The matrix runner's jobs knob must be invisible in the output for any
 // worker count: fewer workers than cells, more workers than cells, and the
 // degenerate single-worker pool all reduce to the jobs=1 stream.
@@ -80,36 +70,6 @@ TEST(Determinism, MatrixJobsSweepIsBitIdentical) {
   }
 }
 
-// YCSB replay fans controllers out across worker threads; the merged
-// result (counts, histograms, makespan) must match the inline replay.
-TEST(Determinism, YcsbParallelReplayIsBitIdentical) {
-  const SystemConfig cfg = det_config();
-  kv::YcsbConfig ycfg;
-  ycfg.mix = kv::Mix::kA;
-  ycfg.clients = 4;
-  ycfg.controllers = 4;
-  ycfg.ops = 8000;
-  ycfg.keys = 2000;
-  ycfg.slots = std::size_t{1} << 13;
-  const kv::YcsbResult seq = run_ycsb(cfg, Scheme::kSteins, ycfg);
-  for (const unsigned jobs : {2u, 4u}) {
-    kv::YcsbConfig pcfg = ycfg;
-    pcfg.jobs = jobs;
-    const kv::YcsbResult par = run_ycsb(cfg, Scheme::kSteins, pcfg);
-    const std::string where = "jobs=" + std::to_string(jobs);
-    EXPECT_EQ(seq.ops, par.ops) << where;
-    EXPECT_EQ(seq.reads, par.reads) << where;
-    EXPECT_EQ(seq.updates, par.updates) << where;
-    EXPECT_EQ(seq.makespan, par.makespan) << where;
-    EXPECT_EQ(seq.nvm_writes, par.nvm_writes) << where;
-    expect_hist_identical(seq.read_lat, par.read_lat, where + " read_lat");
-    expect_hist_identical(seq.update_lat, par.update_lat, where + " update_lat");
-    expect_hist_identical(seq.all_lat, par.all_lat, where + " all_lat");
-  }
-}
-
-// Aggregate recovery across controllers: the parallel walk must reach the
-// same verdict, the same counts, and the same modeled time as jobs=1.
 TEST(Determinism, ParallelRecoveryIsBitIdentical) {
   const SystemConfig cfg = det_config();
   auto prepare = [&] {

@@ -1,6 +1,6 @@
 // The crash-consistent KV store and its validation harness: record/commit
-// encoding, round trips through every scheme's secure path, the YCSB
-// driver, and the crash-at-every-persist-boundary recovery matrix.
+// encoding, round trips through every scheme's secure path, and the
+// crash-at-every-persist-boundary recovery matrix.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -9,7 +9,6 @@
 
 #include "kv/kv_crash.hpp"
 #include "kv/kv_store.hpp"
-#include "kv/ycsb.hpp"
 #include "sim/system.hpp"
 #include "test_util.hpp"
 
@@ -188,57 +187,6 @@ TEST(KvCrash, RandomBoundaryIsDeterministicPerSeed) {
   opt.seed = 2;
   const CrashReport c = run_kv_crash_validation(small_config(), Scheme::kSteins, opt);
   EXPECT_TRUE(crash_passes(c, Scheme::kSteins)) << crash_why(c);
-}
-
-TEST(YcsbDriver, MixesProduceExpectedShapes) {
-  YcsbConfig ycfg;
-  ycfg.clients = 3;
-  ycfg.ops = 2000;
-  ycfg.keys = 200;
-  ycfg.slots = 1024;
-  const SystemConfig cfg = small_config();
-
-  ycfg.mix = Mix::kC;
-  const YcsbResult ro = run_ycsb(cfg, Scheme::kSteins, ycfg);
-  EXPECT_EQ(ro.reads, ycfg.ops);
-  EXPECT_EQ(ro.updates, 0u);
-  EXPECT_EQ(ro.all_lat.count(), ycfg.ops);
-  EXPECT_GT(ro.kops_per_sec, 0.0);
-
-  ycfg.mix = Mix::kA;
-  const YcsbResult rw = run_ycsb(cfg, Scheme::kSteins, ycfg);
-  EXPECT_EQ(rw.reads + rw.updates, ycfg.ops);
-  EXPECT_GT(rw.updates, ycfg.ops / 3);  // ~50% updates
-  EXPECT_LT(rw.updates, 2 * ycfg.ops / 3);
-  EXPECT_GT(rw.nvm_writes, 0u);
-  // Updates traverse two block writes; the tail must sit above reads'.
-  EXPECT_GE(rw.update_lat.percentile(50), ro.read_lat.percentile(50));
-
-  // Determinism: identical config twice gives identical results.
-  const YcsbResult again = run_ycsb(cfg, Scheme::kSteins, ycfg);
-  EXPECT_EQ(again.makespan, rw.makespan);
-  EXPECT_DOUBLE_EQ(again.kops_per_sec, rw.kops_per_sec);
-}
-
-TEST(YcsbDriver, RejectsNonsenseConfigs) {
-  const SystemConfig cfg = small_config();
-  YcsbConfig ycfg;
-  ycfg.clients = 0;
-  EXPECT_THROW(run_ycsb(cfg, Scheme::kSteins, ycfg), std::invalid_argument);
-  ycfg.clients = 1;
-  ycfg.slots = 1000;  // not a power of two
-  EXPECT_THROW(run_ycsb(cfg, Scheme::kSteins, ycfg), std::invalid_argument);
-  ycfg.slots = 1024;
-  ycfg.keys = 1024;  // over half full
-  EXPECT_THROW(run_ycsb(cfg, Scheme::kSteins, ycfg), std::invalid_argument);
-}
-
-TEST(YcsbDriver, ParsesMixNames) {
-  EXPECT_EQ(parse_mix("a"), Mix::kA);
-  EXPECT_EQ(parse_mix("B"), Mix::kB);
-  EXPECT_EQ(parse_mix("f"), Mix::kF);
-  EXPECT_EQ(parse_mix("z"), std::nullopt);
-  EXPECT_STREQ(mix_name(Mix::kC), "c");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// The concurrent sharded serving engine: jobs-sweep bit-identity, group
-// commit, load-aware routing, admission-queue overload shedding, and the
-// crash-at-access-boundary matrix under concurrent serving.
+// The concurrent sharded serving engine: mix shapes, jobs-sweep
+// bit-identity, group commit, load-aware routing, admission-queue overload
+// shedding, the crash-at-access-boundary matrix under concurrent serving,
+// and golden values from the retired interleaved YCSB driver.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -58,6 +59,91 @@ void expect_identical(const ServingResult& a, const ServingResult& b,
     EXPECT_EQ(a.shards[s].busy, b.shards[s].busy) << what << " shard " << s;
     EXPECT_EQ(a.shards[s].commit_writes, b.shards[s].commit_writes)
         << what << " shard " << s;
+  }
+}
+
+TEST(KvServing, MixesProduceExpectedShapes) {
+  const SystemConfig cfg = small_config();
+  ServingConfig scfg;
+  scfg.clients = 3;
+  scfg.ops = 2000;
+  scfg.keys = 200;
+  scfg.slots = 1024;
+  scfg.group_commit_window = 0;  // every update owns its commit-block write
+
+  scfg.mix = Mix::kC;
+  const ServingResult ro = run_sharded_serving(cfg, Scheme::kSteins, scfg);
+  EXPECT_EQ(ro.reads, scfg.ops);
+  EXPECT_EQ(ro.updates, 0u);
+  EXPECT_EQ(ro.all_lat.count(), scfg.ops);
+  EXPECT_GT(ro.kops_per_sec, 0.0);
+
+  scfg.mix = Mix::kA;
+  const ServingResult rw = run_sharded_serving(cfg, Scheme::kSteins, scfg);
+  EXPECT_EQ(rw.reads + rw.updates, scfg.ops);
+  EXPECT_GT(rw.updates, scfg.ops / 3);  // ~50% updates
+  EXPECT_LT(rw.updates, 2 * scfg.ops / 3);
+  EXPECT_GT(rw.nvm_writes, 0u);
+  // Updates traverse two block writes; their median must sit above reads'.
+  EXPECT_GE(rw.update_lat.percentile(50), ro.read_lat.percentile(50));
+
+  // Identical config twice gives identical results.
+  const ServingResult again = run_sharded_serving(cfg, Scheme::kSteins, scfg);
+  EXPECT_EQ(again.makespan, rw.makespan);
+  EXPECT_DOUBLE_EQ(again.kops_per_sec, rw.kops_per_sec);
+}
+
+TEST(KvServing, OneShardReproducesRetiredYcsbDriver) {
+  // Captured from the retired interleaved YCSB driver at 1 controller,
+  // 4 clients, 20 000 ops over 10 000 keys in 32 768 slots, 256 MB NVM,
+  // before it was folded into this engine. One shard with hash routing and
+  // group commit off is that driver: same draw, same slots, same accesses
+  // on one timeline.
+  struct Golden {
+    Scheme scheme;
+    Mix mix;
+    Cycle makespan;
+    std::uint64_t reads, updates, nvm_writes;
+    double mean, p50, p99;
+  };
+  const Golden goldens[] = {
+      {Scheme::kWriteBack, Mix::kA, 19325809, 10013, 9987, 22641, 966.29044999999996, 841.34773601657298, 2288.7049180327867},
+      {Scheme::kWriteBack, Mix::kB, 9611858, 18980, 1020, 4354, 480.59289999999999, 327.97844363009267, 1532.6306748466259},
+      {Scheme::kWriteBack, Mix::kC, 8470192, 20000, 0, 2295, 423.50959999999998, 327.71307365985348, 1280.3835616438357},
+      {Scheme::kWriteBack, Mix::kF, 21300648, 10013, 9987, 22641, 1065.0324000000001, 1297.0217391304348, 2270.3791946308725},
+      {Scheme::kStar, Mix::kA, 19907967, 10013, 9987, 23450, 995.39835000000005, 842.34204989480008, 2386.6721311475408},
+      {Scheme::kStar, Mix::kB, 9946782, 18980, 1020, 4795, 497.33909999999997, 328.0647352069937, 1614.0145985401459},
+      {Scheme::kStar, Mix::kC, 8784463, 20000, 0, 2695, 439.22314999999998, 327.72200772200773, 1518.0169971671389},
+      {Scheme::kStar, Mix::kF, 21900226, 10013, 9987, 23450, 1095.0112999999999, 1426.9935483870968, 2462.909090909091},
+      {Scheme::kSteins, Mix::kA, 19565699, 10013, 9987, 23109, 978.28494999999998, 842.53955901426718, 2295.1291585127201},
+      {Scheme::kSteins, Mix::kB, 9787823, 18980, 1020, 4616, 489.39114999999998, 327.98130303466132, 1745.9636363636364},
+      {Scheme::kSteins, Mix::kC, 8638225, 20000, 0, 2532, 431.91125, 327.7244930801416, 1734.2222222222222},
+      {Scheme::kSteins, Mix::kF, 21546460, 10013, 9987, 23109, 1077.3230000000001, 1409.75, 2355.6296296296296},
+  };
+  SystemConfig cfg = default_config();
+  cfg.nvm.capacity_bytes = std::uint64_t{256} << 20;
+  for (const Golden& g : goldens) {
+    for (const unsigned jobs : {1u, 2u}) {
+      ServingConfig scfg;
+      scfg.mix = g.mix;
+      scfg.shards = 1;
+      scfg.ops = 20'000;
+      scfg.keys = 10'000;
+      scfg.slots = std::size_t{1} << 15;
+      scfg.routing = Routing::kHash;
+      scfg.group_commit_window = 0;
+      scfg.jobs = jobs;
+      const ServingResult r = run_sharded_serving(cfg, g.scheme, scfg);
+      const std::string what = scheme_name(g.scheme, cfg.counter_mode) + "/" +
+                               mix_name(g.mix) + " jobs=" + std::to_string(jobs);
+      EXPECT_EQ(r.makespan, g.makespan) << what;
+      EXPECT_EQ(r.reads, g.reads) << what;
+      EXPECT_EQ(r.updates, g.updates) << what;
+      EXPECT_EQ(r.nvm_writes, g.nvm_writes) << what;
+      EXPECT_DOUBLE_EQ(r.all_lat.mean(), g.mean) << what;
+      EXPECT_DOUBLE_EQ(r.all_lat.percentile(50), g.p50) << what;
+      EXPECT_DOUBLE_EQ(r.all_lat.percentile(99), g.p99) << what;
+    }
   }
 }
 
@@ -285,6 +371,21 @@ TEST(KvServing, RejectsNonsenseConfigurations) {
   scfg = small_serving(2);
   scfg.keys = scfg.slots * 4;  // overflows the capacity guard
   EXPECT_THROW(run_sharded_serving(cfg, Scheme::kSteins, scfg), std::invalid_argument);
+}
+
+TEST(KvMix, ParsesMixNames) {
+  EXPECT_EQ(parse_mix("a"), Mix::kA);
+  EXPECT_EQ(parse_mix("B"), Mix::kB);
+  EXPECT_EQ(parse_mix("f"), Mix::kF);
+  EXPECT_EQ(parse_mix("z"), std::nullopt);
+  EXPECT_STREQ(mix_name(Mix::kC), "c");
+  for (const Mix m : {Mix::kA, Mix::kB, Mix::kC, Mix::kF}) {
+    EXPECT_EQ(parse_mix(mix_name(m)), m);
+  }
+  EXPECT_DOUBLE_EQ(update_fraction(Mix::kA), 0.50);
+  EXPECT_DOUBLE_EQ(update_fraction(Mix::kB), 0.05);
+  EXPECT_DOUBLE_EQ(update_fraction(Mix::kC), 0.00);
+  EXPECT_DOUBLE_EQ(update_fraction(Mix::kF), 0.50);
 }
 
 TEST(KvServingRouting, NamesRoundTrip) {

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -161,13 +162,19 @@ NodeId persisted_child_of_dirty_parent(SteinsMemory& mem, std::optional<NodeId> 
   return NodeId{0, 0};
 }
 
+struct RecoveredCase {
+  std::unique_ptr<SteinsMemory> mem;
+  RecoveryReport report;
+};
+
 /// fig17's dense fill at 256 KB (8192 leaves), crash, the case's faults,
 /// then recovery (re-entered after the armed nested crash, if any).
-GoldenRun run_case(CounterMode mode, GoldenCase c) {
+RecoveredCase recover_case(CounterMode mode, GoldenCase c) {
   SystemConfig cfg = default_config();
   cfg.counter_mode = mode;
   cfg.secure.metadata_cache.size_bytes = 256 << 10;
-  SteinsMemory mem(cfg);
+  RecoveredCase out{std::make_unique<SteinsMemory>(cfg), {}};
+  SteinsMemory& mem = *out.mem;
   const SitGeometry& geo = mem.geometry();
   const std::uint64_t leaves = 2 * cfg.secure.metadata_cache.size_bytes / kBlockSize;
   Cycle now = 0;
@@ -205,15 +212,42 @@ GoldenRun run_case(CounterMode mode, GoldenCase c) {
   if (c == GoldenCase::kNestedCrashInLeafLevel) {
     injector.arm_recovery_crash(kLeafLevelQmapBoundary);
   }
-  GoldenRun out;
-  const RecoveryReport r = recover_with_retry(mem, &injector);
+  out.report = recover_with_retry(mem, &injector);
   mem.set_fault_injector(nullptr);
   if (c == GoldenCase::kNestedCrash || c == GoldenCase::kNestedCrashInLeafLevel) {
-    EXPECT_TRUE(!r.attempts.empty() && r.attempts.front().crash_stage == "qmap");
+    EXPECT_TRUE(!out.report.attempts.empty() &&
+                out.report.attempts.front().crash_stage == "qmap");
   }
-  out.report = describe(r);
-  out.digest = state_digest(mem);
   return out;
+}
+
+GoldenRun run_case(CounterMode mode, GoldenCase c) {
+  RecoveredCase r = recover_case(mode, c);
+  return {describe(r.report), state_digest(*r.mem)};
+}
+
+/// What a recovered instance serves: its quarantine map, then the read
+/// outcome (first data byte, or the error) of every line the fill wrote.
+std::string served_state(SteinsMemory& mem) {
+  std::string s;
+  for (const QuarantineEntry& e : mem.quarantine().entries()) {
+    s += std::to_string(e.lo) + "-" + std::to_string(e.hi) + ":" +
+         quarantine_reason_name(e.reason) + (e.line ? ",line" : "") +
+         (e.remapped ? ",remapped" : "") + (e.rewritten ? ",rewritten" : "") + ";";
+  }
+  const SitGeometry& geo = mem.geometry();
+  const std::uint64_t leaves = 2 * (std::uint64_t{256} << 10) / kBlockSize;
+  Cycle now = 0;
+  for (std::uint64_t leaf = 0; leaf < leaves; ++leaf) {
+    Block b{};
+    try {
+      now = mem.read_block(leaf * geo.leaf_coverage() * kBlockSize, now, &b);
+      s += std::to_string(b[0]) + ";";
+    } catch (const std::exception& e) {
+      s += std::string(e.what()) + ";";
+    }
+  }
+  return s;
 }
 
 void check_case(CounterMode mode, GoldenCase c, const char* report, std::uint64_t digest) {
@@ -264,14 +298,30 @@ TEST(RecoveryGolden, GcNestedCrash) {
 TEST(RecoveryGolden, GcNestedCrashInLeafLevel) {
   check_case(CounterMode::kGeneral, GoldenCase::kNestedCrashInLeafLevel,
              "supported=1 attack=1 level=0 status=OK detail=\"child node erased during "
-             "recovery\" nodes=4093 salvaged=8189 quarantined=2 subtrees=2 lines=0 "
+             "recovery\" nodes=4093 salvaged=8189 quarantined=2 subtrees=2 lines=1 "
              "degraded=0 linc_unverified=[1,0,] ranges=[565248-565760,565760-566272,] "
              "reads=75446 writes=515 seconds=0.0076991000000000004 gave_up=0 cursor=4094 "
              "{reads=37569 writes=257 seconds=0.0038340000000000002 crashed=1 at=4 "
              "stage=qmap cursor=4094} {reads=37877 writes=258 seconds=0.0038651000000000002 "
              "crashed=0 at=0 stage= cursor=4094}",
-             0xcabe70fb876e18c2ULL);
+             0x2237347386bbc631ULL);
 }
+// A nested crash at the level-0 qmap boundary (the tampered data line's
+// quarantine) must leave nothing the retry cannot redo: the map is recorded
+// and persisted before the line is remapped, so the retried recovery
+// quarantines the same line and serves exactly what the uncrashed twin
+// serves.
+TEST(RecoveryGolden, LeafLevelQmapRetryServesWhatCleanRecoveryServes) {
+  for (const CounterMode mode : {CounterMode::kGeneral, CounterMode::kSplit}) {
+    RecoveredCase crashed = recover_case(mode, GoldenCase::kNestedCrashInLeafLevel);
+    RecoveredCase twin = recover_case(mode, GoldenCase::kFaults);
+    ASSERT_GT(crashed.report.attempts.size(), 1u);
+    EXPECT_EQ(crashed.report.lines_quarantined, twin.report.lines_quarantined);
+    EXPECT_EQ(crashed.report.lines_quarantined, 1u);
+    EXPECT_EQ(served_state(*crashed.mem), served_state(*twin.mem));
+  }
+}
+
 TEST(RecoveryGolden, ScClean) {
   check_case(CounterMode::kSplit, GoldenCase::kClean,
              "supported=1 attack=0 level=-1 status=OK detail=\"\" nodes=4094 salvaged=0 "
@@ -304,12 +354,12 @@ TEST(RecoveryGolden, ScNestedCrash) {
 TEST(RecoveryGolden, ScNestedCrashInLeafLevel) {
   check_case(CounterMode::kSplit, GoldenCase::kNestedCrashInLeafLevel,
              "supported=1 attack=1 level=0 status=OK detail=\"child node erased during "
-             "recovery\" nodes=4093 salvaged=8189 quarantined=2 subtrees=2 lines=0 "
+             "recovery\" nodes=4093 salvaged=8189 quarantined=2 subtrees=2 lines=1 "
              "degraded=0 linc_unverified=[1,0,] ranges=[4521984-4526080,4526080-4530176,] "
              "reads=509554 writes=515 seconds=0.0511099 gave_up=0 cursor=4094 {reads=254455 "
              "writes=257 seconds=0.025522600000000003 crashed=1 at=4 stage=qmap cursor=4094} "
              "{reads=255099 writes=258 seconds=0.0255873 crashed=0 at=0 stage= cursor=4094}",
-             0x387c03506d6dad8aULL);
+             0x49c3b00746941a89ULL);
 }
 
 }  // namespace

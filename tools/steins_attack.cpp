@@ -20,8 +20,9 @@
 // projects wear-leveling / wear-out / spare-pool-exhaustion milestones to
 // real device endurance and traffic.
 //
-// Exit status: 1 if any silent corruption (or endurance audit mismatch)
-// was observed, 2 for usage errors.
+// Exit status: 1 if any trial fails verdict_passes (silent corruption, or
+// a recovery that gave up after nested crashes) or an endurance audit
+// mismatches, 2 for usage errors.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -231,9 +232,11 @@ int main(int argc, char** argv) {
       std::printf("wrote JSON results to %s\n", opt.json_path.c_str());
     }
 
-    if (result.silent_total() > 0) {
-      std::fprintf(stderr, "\nFAIL: %llu silent-corruption verdict(s)\n",
-                   static_cast<unsigned long long>(result.silent_total()));
+    if (result.failed_total() > 0) {
+      std::fprintf(stderr,
+                   "\nFAIL: %llu failing verdict(s) (silent corruption or unrecoverable "
+                   "recovery)\n",
+                   static_cast<unsigned long long>(result.failed_total()));
       return 1;
     }
   } catch (const std::exception& e) {

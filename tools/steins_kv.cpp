@@ -1,15 +1,18 @@
 // steins_kv: the secure-NVM key-value service front end.
 //
 //   steins_kv --mix a --clients 4 --crash
-//   steins_kv --scheme steins,scue --mix f --ops 200000 --json kv.json
+//   steins_kv --scheme steins,scue --mix f --shards 4 --ops 200000 --json kv.json
 //
-// For each scheme it runs the closed-loop multi-client YCSB driver over
-// MultiControllerMemory (throughput + tail latency), and with --crash also
-// the KV crash-recovery validation: a deterministic op script killed at a
-// seeded-random persist boundary, recovered, reopened, and diffed against
-// the committed model. Steins/ASIT/STAR/SCUE must verify; WB must be
-// detected as unrecoverable. Exit status is nonzero if any scheme fails
-// its criterion.
+// For each scheme it runs the sharded serving engine (kv/serving.hpp) over
+// MultiControllerMemory (simulated throughput + tail latency, and the host
+// seconds of the call). With --crash it also runs both store crash
+// harnesses: the serving crash (the same run killed at a seeded-random
+// access boundary, every controller recovered, the image diffed against the
+// durable commit state) and the KvStore op-script crash (killed at a
+// seeded-random persist boundary, recovered, reopened and diffed against
+// the committed model). Each is scored by crash_verdict: Steins/ASIT/STAR/
+// SCUE must verify; WB must be detected as unrecoverable. Exit status is
+// nonzero if any scheme fails either harness.
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -22,7 +25,6 @@
 #include "crypto/backend.hpp"
 #include "kv/kv_crash.hpp"
 #include "kv/serving.hpp"
-#include "kv/ycsb.hpp"
 
 using namespace steins;
 using namespace steins::kv;
@@ -33,7 +35,6 @@ struct Options {
   std::string schemes = "wb,asit,star,scue,steins";
   std::string mix = "a";
   unsigned clients = 4;
-  unsigned controllers = 2;
   std::uint64_t ops = 100'000;
   std::uint64_t keys = 10'000;
   std::uint64_t slots = 1 << 15;
@@ -49,7 +50,6 @@ struct Options {
   unsigned jobs = ThreadPool::default_jobs();
   std::string json_path;
   bool crash = false;
-  bool serve = false;
   unsigned shards = 2;
   std::string routing = "load";
   std::uint64_t queue_depth = 0;
@@ -63,36 +63,32 @@ void usage() {
       "  --scheme <list>      comma-separated wb|asit|star|scue|steins (default all)\n"
       "  --mix <a|b|c|f>      YCSB mix (default a)\n"
       "  --clients <n>        closed-loop clients (default 4)\n"
-      "  --controllers <n>    memory controllers / DIMMs (default 2)\n"
+      "  --shards <n>         serving shards == controllers / DIMMs (default 2)\n"
       "  --ops <n>            measured KV operations (default 100000)\n"
       "  --keys <n>           preloaded keys (default 10000)\n"
-      "  --slots <n>          table slots, power of two (default 32768)\n"
+      "  --slots <n>          per-shard table slots, power of two (default 32768)\n"
       "  --value-bytes <n>    value payload size, <= 32 (default 24)\n"
       "  --zipf <s>           Zipfian skew (default 0.99)\n"
       "  --seed <n>           driver + crash-boundary seed (default 1)\n"
       "  --capacity-mb <n>    NVM capacity (default 256)\n"
       "  --mcache-kb <n>      metadata cache size (default 256)\n"
-      "  --jobs <n>           worker threads for controller replay (default\n"
-      "                       STEINS_JOBS or hardware threads; any value is\n"
-      "                       bit-identical to --jobs 1)\n"
-      "  --serve              run the concurrent sharded serving engine instead\n"
-      "                       of the interleaved YCSB driver (one worker thread\n"
-      "                       per shard; --jobs caps the threads, bit-identical).\n"
-      "                       kops/s is simulated time; host_s is the host\n"
-      "                       steady-clock seconds of each serving call\n"
-      "  --shards <n>         serving shards == controllers (default 2)\n"
+      "  --jobs <n>           shard worker threads (default STEINS_JOBS or\n"
+      "                       hardware threads; any value is bit-identical to\n"
+      "                       --jobs 1). kops/s is simulated time; host_s is the\n"
+      "                       host steady-clock seconds of each serving call\n"
       "  --routing <hash|load>  key->shard routing policy (default load)\n"
       "  --queue-depth <n>    per-shard admitted ops per epoch; overflow sheds\n"
       "                       into typed degraded verdicts (default 0 = unbounded)\n"
       "  --group-commit <n>   commit words buffered per shard before one\n"
       "                       coalesced commit-block flush (default 64, 0 = off)\n"
-      "  --crash              also run crash-recovery validation per scheme\n"
-      "  --crash-ops <n>      ops in the crash-validation script (default 64)\n"
-      "  --nested-crash <b[,rearm]>  with --crash: crash the recovery itself at\n"
+      "  --crash              also run both crash harnesses per scheme: the\n"
+      "                       serving crash and the KvStore op-script crash\n"
+      "  --crash-ops <n>      ops in the KvStore crash script (default 64)\n"
+      "  --nested-crash <b[,rearm]>  with --crash: crash the KvStore recovery at\n"
       "                       persist boundary b (1-based) and re-enter it;\n"
       "                       ',rearm' re-arms the crash on every retry\n"
-      "  --max-recovery-attempts <n>  retry budget for crashed recoveries\n"
-      "                       (default 8)\n"
+      "  --max-recovery-attempts <n>  retry budget for crashed KvStore\n"
+      "                       recoveries (default 8)\n"
       "  --json <file>        write results (same numbers as printed) as JSON\n"
       "  --crypto-backend <ref|ttable|hw|auto>  crypto backend (bit-identical;\n"
       "                       host wall-clock only; or STEINS_CRYPTO_BACKEND)\n");
@@ -107,8 +103,6 @@ bool parse(int argc, char** argv, Options* opt) {
       opt->mix = p.str();
     } else if (p.is("--clients")) {
       opt->clients = static_cast<unsigned>(p.u64());
-    } else if (p.is("--controllers")) {
-      opt->controllers = static_cast<unsigned>(p.u64());
     } else if (p.is("--ops")) {
       opt->ops = p.u64();
     } else if (p.is("--keys")) {
@@ -127,8 +121,6 @@ bool parse(int argc, char** argv, Options* opt) {
       opt->mcache_kb = p.u64();
     } else if (p.is("--jobs")) {
       opt->jobs = p.jobs();
-    } else if (p.is("--serve")) {
-      opt->serve = true;
     } else if (p.is("--shards")) {
       opt->shards = static_cast<unsigned>(p.u64());
     } else if (p.is("--routing")) {
@@ -170,125 +162,108 @@ bool parse(int argc, char** argv, Options* opt) {
 
 struct SchemeOutcome {
   std::string label;
-  YcsbResult ycsb;
-  ServingResult serving;  // filled in --serve mode instead of ycsb
-  double host_s = 0.0;    // host steady-clock seconds of the serving call
+  ServingResult serving;
+  double host_s = 0.0;  // host steady-clock seconds of the serving call
   bool crash_ran = false;
-  CrashReport crash;  // KV crash validation, or the serving crash with --serve
-  bool crash_pass = true;
+  CrashReport serving_crash;
+  bool serving_crash_pass = true;
+  CrashReport kv_crash;  // the KvStore op-script harness
+  bool kv_crash_pass = true;
 };
 
-/// A failing crash validation prints the line that reproduces it.
-void print_repro(const SchemeOutcome& o) {
-  if (o.crash_ran && !o.crash_pass) std::fprintf(stderr, "  %s\n", o.crash.repro().c_str());
+/// The crash column's note for one harness; `boundary` names what the run
+/// was killed before and `unit` what the diff verified.
+std::string crash_note(const CrashReport& r, Scheme scheme, bool pass, const char* boundary,
+                       const char* unit) {
+  if (scheme == Scheme::kWriteBack) {
+    return pass ? "unrecoverable (detected, as expected)"
+                : "FAIL: WB not detected as unrecoverable";
+  }
+  if (!pass) return "FAIL: " + r.detail;
+  std::string note = std::string("ok (") + boundary + " " + std::to_string(r.crash_at) + "/" +
+                     std::to_string(r.total_boundaries) + ", " +
+                     std::to_string(r.committed_keys) + " " + unit + " verified";
+  if (r.recovery_attempts > 1) {
+    note += ", " + std::to_string(r.recovery_attempts) + " recovery attempts";
+  }
+  return note + ")";
 }
 
 double cycles_to_ns(const SystemConfig& cfg, double cycles) {
   return cfg.cycles_to_seconds(1) * 1e9 * cycles;
 }
 
-void emit_json(const Options& opt, const SystemConfig& cfg,
+bool emit_json(const Options& opt, const SystemConfig& cfg,
                const std::vector<SchemeOutcome>& outcomes) {
-  std::FILE* f = std::fopen(opt.json_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s: %s\n", opt.json_path.c_str(),
-                 std::strerror(errno));
-    std::exit(1);
-  }
   std::ostringstream os;
   os << "{\"mix\": \"" << json_escape(opt.mix) << "\", \"clients\": " << opt.clients
-     << ", \"controllers\": " << opt.controllers << ", \"ops\": " << opt.ops
-     << ", \"keys\": " << opt.keys << ", \"value_bytes\": " << opt.value_bytes
-     << ", \"zipf_s\": " << opt.zipf_s << ", \"seed\": " << opt.seed;
-  if (opt.serve) {
-    os << ", \"serve\": true, \"shards\": " << opt.shards << ", \"routing\": \""
-       << json_escape(opt.routing) << "\", \"queue_depth\": " << opt.queue_depth
-       << ", \"group_commit\": " << opt.group_commit;
-  }
-  os << ",\n \"schemes\": [";
+     << ", \"ops\": " << opt.ops << ", \"keys\": " << opt.keys
+     << ", \"value_bytes\": " << opt.value_bytes << ", \"zipf_s\": " << opt.zipf_s
+     << ", \"seed\": " << opt.seed << ", \"shards\": " << opt.shards << ", \"routing\": \""
+     << json_escape(opt.routing) << "\", \"queue_depth\": " << opt.queue_depth
+     << ", \"group_commit\": " << opt.group_commit << ",\n \"schemes\": [";
   char buf[64];
   const auto num = [&](double v) {
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return std::string(buf);
   };
+  const auto lat = [&](const LatencyHistogram& h) {
+    return "{\"mean_ns\": " + num(cycles_to_ns(cfg, h.mean())) +
+           ", \"p50_ns\": " + num(cycles_to_ns(cfg, h.percentile(50))) +
+           ", \"p95_ns\": " + num(cycles_to_ns(cfg, h.percentile(95))) +
+           ", \"p99_ns\": " + num(cycles_to_ns(cfg, h.percentile(99))) +
+           ", \"p999_ns\": " + num(cycles_to_ns(cfg, h.percentile(99.9))) + "}";
+  };
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const SchemeOutcome& o = outcomes[i];
-    const auto lat = [&](const LatencyHistogram& h) {
-      return "{\"mean_ns\": " + num(cycles_to_ns(cfg, h.mean())) +
-             ", \"p50_ns\": " + num(cycles_to_ns(cfg, h.percentile(50))) +
-             ", \"p95_ns\": " + num(cycles_to_ns(cfg, h.percentile(95))) +
-             ", \"p99_ns\": " + num(cycles_to_ns(cfg, h.percentile(99))) +
-             ", \"p999_ns\": " + num(cycles_to_ns(cfg, h.percentile(99.9))) + "}";
-    };
-    if (opt.serve) {
-      const ServingResult& s = o.serving;
-      os << (i ? ",\n  " : "\n  ") << "{\"scheme\": \"" << json_escape(o.label)
-         << "\", \"kops_per_sec\": " << num(s.kops_per_sec)
-         << ", \"host_s\": " << num(o.host_s)
-         << ", \"clocks\": {\"kops_per_sec\": \"sim\", \"host_s\": \"host\"}"
-         << ", \"offered_ops\": " << s.offered_ops << ", \"ops\": " << s.ops
-         << ", \"reads\": " << s.reads << ", \"updates\": " << s.updates
-         << ", \"shed_ops\": " << s.shed_ops
-         << ", \"degraded_shards\": " << s.degraded_shards
-         << ", \"nvm_writes\": " << s.nvm_writes
-         << ", \"commit_writes\": " << s.commit_writes
-         << ", \"image_digest\": \"" << std::hex << s.image_digest << std::dec
-         << "\", \"mean_batch\": " << num(s.batch_sizes.mean())
-         << ", \"all\": " << lat(s.all_lat) << ", \"read\": " << lat(s.read_lat)
-         << ", \"update\": " << lat(s.update_lat) << ", \"shards\": [";
-      for (std::size_t sh = 0; sh < s.shards.size(); ++sh) {
-        const ShardServingStats& st = s.shards[sh];
-        os << (sh ? ", " : "") << "{\"keys\": " << st.keys << ", \"ops\": " << st.ops
-           << ", \"shed\": " << st.shed
-           << ", \"occupancy\": " << num(st.occupancy)
-           << ", \"commit_flushes\": " << st.commit_flushes
-           << ", \"mean_batch\": " << num(st.mean_batch) << "}";
-      }
-      os << "]";
-      if (o.crash_ran) {
-        os << ", \"crash\": {\"pass\": " << (o.crash_pass ? "true" : "false")
-           << ", \"crash_at\": " << o.crash.crash_at
-           << ", \"total_accesses\": " << o.crash.total_boundaries
-           << ", \"committed_slots\": " << o.crash.committed_keys
-           << ", \"durable_digest\": \"" << std::hex << o.crash.durable_digest << std::dec
-           << "\""
-           << ", \"verified\": " << (o.crash.verified ? "true" : "false")
-           << ", \"salvaged\": " << (o.crash.salvaged ? "true" : "false")
-           << ", \"recovery_seconds\": " << num(o.crash.recovery_seconds)
-           << ", \"detail\": \"" << json_escape(o.crash.detail) << "\"}";
-      }
-      os << "}";
-      continue;
-    }
+    const ServingResult& s = o.serving;
     os << (i ? ",\n  " : "\n  ") << "{\"scheme\": \"" << json_escape(o.label)
-       << "\", \"kops_per_sec\": " << num(o.ycsb.kops_per_sec)
-       << ", \"reads\": " << o.ycsb.reads << ", \"updates\": " << o.ycsb.updates
-       << ", \"nvm_writes\": " << o.ycsb.nvm_writes
-       << ", \"all\": " << lat(o.ycsb.all_lat) << ", \"read\": " << lat(o.ycsb.read_lat)
-       << ", \"update\": " << lat(o.ycsb.update_lat);
+       << "\", \"kops_per_sec\": " << num(s.kops_per_sec) << ", \"host_s\": " << num(o.host_s)
+       << ", \"clocks\": {\"kops_per_sec\": \"sim\", \"host_s\": \"host\"}"
+       << ", \"offered_ops\": " << s.offered_ops << ", \"ops\": " << s.ops
+       << ", \"reads\": " << s.reads << ", \"updates\": " << s.updates
+       << ", \"shed_ops\": " << s.shed_ops << ", \"degraded_shards\": " << s.degraded_shards
+       << ", \"nvm_writes\": " << s.nvm_writes << ", \"commit_writes\": " << s.commit_writes
+       << ", \"image_digest\": \"" << std::hex << s.image_digest << std::dec
+       << "\", \"mean_batch\": " << num(s.batch_sizes.mean()) << ", \"all\": " << lat(s.all_lat)
+       << ", \"read\": " << lat(s.read_lat) << ", \"update\": " << lat(s.update_lat)
+       << ", \"shards\": [";
+    for (std::size_t sh = 0; sh < s.shards.size(); ++sh) {
+      const ShardServingStats& st = s.shards[sh];
+      os << (sh ? ", " : "") << "{\"keys\": " << st.keys << ", \"ops\": " << st.ops
+         << ", \"shed\": " << st.shed << ", \"occupancy\": " << num(st.occupancy)
+         << ", \"commit_flushes\": " << st.commit_flushes
+         << ", \"mean_batch\": " << num(st.mean_batch) << "}";
+    }
+    os << "]";
     if (o.crash_ran) {
-      os << ", \"crash\": {\"supported\": " << (o.crash.recovery_supported ? "true" : "false")
-         << ", \"recovered\": " << (o.crash.recovery_ok ? "true" : "false")
-         << ", \"verified\": " << (o.crash.verified ? "true" : "false")
-         << ", \"pass\": " << (o.crash_pass ? "true" : "false")
-         << ", \"crash_at\": " << o.crash.crash_at
-         << ", \"total_persists\": " << o.crash.total_boundaries
-         << ", \"committed_keys\": " << o.crash.committed_keys
-         << ", \"recovery_seconds\": " << num(o.crash.recovery_seconds)
-         << ", \"recovery_attempts\": " << o.crash.recovery_attempts
-         << ", \"recovery_gave_up\": " << (o.crash.recovery_gave_up ? "true" : "false")
-         << ", \"detail\": \"" << json_escape(o.crash.detail) << "\"}";
+      const CrashReport& c = o.serving_crash;
+      os << ", \"crash\": {\"pass\": " << (o.serving_crash_pass ? "true" : "false")
+         << ", \"crash_at\": " << c.crash_at << ", \"total_accesses\": " << c.total_boundaries
+         << ", \"committed_slots\": " << c.committed_keys << ", \"durable_digest\": \""
+         << std::hex << c.durable_digest << std::dec << "\""
+         << ", \"verified\": " << (c.verified ? "true" : "false")
+         << ", \"salvaged\": " << (c.salvaged ? "true" : "false")
+         << ", \"recovery_seconds\": " << num(c.recovery_seconds) << ", \"detail\": \""
+         << json_escape(c.detail) << "\"}";
+      const CrashReport& k = o.kv_crash;
+      os << ", \"kv_crash\": {\"supported\": " << (k.recovery_supported ? "true" : "false")
+         << ", \"recovered\": " << (k.recovery_ok ? "true" : "false")
+         << ", \"verified\": " << (k.verified ? "true" : "false")
+         << ", \"pass\": " << (o.kv_crash_pass ? "true" : "false")
+         << ", \"crash_at\": " << k.crash_at << ", \"total_persists\": " << k.total_boundaries
+         << ", \"committed_keys\": " << k.committed_keys
+         << ", \"recovery_seconds\": " << num(k.recovery_seconds)
+         << ", \"recovery_attempts\": " << k.recovery_attempts
+         << ", \"recovery_gave_up\": " << (k.recovery_gave_up ? "true" : "false")
+         << ", \"detail\": \"" << json_escape(k.detail) << "\"}";
     }
     os << "}";
   }
   os << "\n]}\n";
-  std::fprintf(f, "%s", os.str().c_str());
-  if (std::fclose(f) != 0) {
-    std::fprintf(stderr, "error writing %s: %s\n", opt.json_path.c_str(),
-                 std::strerror(errno));
-    std::exit(1);
-  }
+  if (!cli::write_json_file(opt.json_path, os.str())) return false;
   std::printf("wrote JSON results to %s\n", opt.json_path.c_str());
+  return true;
 }
 
 }  // namespace
@@ -306,36 +281,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown mix: %s (expected a, b, c, or f)\n", opt.mix.c_str());
     return 2;
   }
+  const std::optional<Routing> routing = parse_routing(opt.routing);
+  if (!routing) {
+    std::fprintf(stderr, "unknown routing: %s (expected hash or load)\n",
+                 opt.routing.c_str());
+    return 2;
+  }
 
   SystemConfig cfg = default_config();
   cfg.nvm.capacity_bytes = opt.capacity_mb << 20;
   cfg.secure.metadata_cache.size_bytes = opt.mcache_kb * 1024;
 
-  YcsbConfig ycfg;
-  ycfg.mix = *mix;
-  ycfg.clients = opt.clients;
-  ycfg.controllers = opt.controllers;
-  ycfg.ops = opt.ops;
-  ycfg.keys = opt.keys;
-  ycfg.slots = static_cast<std::size_t>(opt.slots);
-  ycfg.value_bytes = static_cast<std::size_t>(opt.value_bytes);
-  ycfg.zipf_s = opt.zipf_s;
-  ycfg.seed = opt.seed;
-  ycfg.jobs = opt.jobs;
-
-  KvCrashOptions ccfg;
-  ccfg.ops = opt.crash_ops;
-  ccfg.seed = opt.seed;
-  ccfg.recovery_crash_boundary = opt.nested_crash_boundary;
-  ccfg.recovery_crash_rearm = opt.nested_crash_rearm;
-  ccfg.retry_policy = opt.retry_policy;
-
-  const std::optional<Routing> routing = parse_routing(opt.routing);
-  if (opt.serve && !routing) {
-    std::fprintf(stderr, "unknown routing: %s (expected hash or load)\n",
-                 opt.routing.c_str());
-    return 2;
-  }
   ServingConfig scfg;
   scfg.mix = *mix;
   scfg.clients = opt.clients;
@@ -347,80 +303,30 @@ int main(int argc, char** argv) {
   scfg.zipf_s = opt.zipf_s;
   scfg.seed = opt.seed;
   scfg.jobs = opt.jobs;
-  if (routing) scfg.routing = *routing;
+  scfg.routing = *routing;
   scfg.queue_depth = opt.queue_depth;
   scfg.group_commit_window = opt.group_commit;
+
+  KvCrashOptions ccfg;
+  ccfg.ops = opt.crash_ops;
+  ccfg.seed = opt.seed;
+  ccfg.recovery_crash_boundary = opt.nested_crash_boundary;
+  ccfg.recovery_crash_rearm = opt.nested_crash_rearm;
+  ccfg.retry_policy = opt.retry_policy;
 
   std::vector<SchemeOutcome> outcomes;
   bool all_pass = true;
   try {
-    if (opt.serve) {
-      std::printf(
-          "KV serving: mix %s, %u clients, %u shards (%s routing), %llu ops over "
-          "%llu keys, group-commit %llu, queue-depth %llu\n\n",
-          mix_name(*mix), opt.clients, opt.shards, opt.routing.c_str(),
-          static_cast<unsigned long long>(opt.ops),
-          static_cast<unsigned long long>(opt.keys),
-          static_cast<unsigned long long>(opt.group_commit),
-          static_cast<unsigned long long>(opt.queue_depth));
-      std::printf("%-11s %10s %9s %9s %9s %8s %7s %8s   %s\n", "scheme", "kops/s",
-                  "p50_ns", "p99_ns", "p99.9_ns", "shed", "batch", "host_s",
-                  opt.crash ? "crash-recovery" : "");
-      for (const std::string& name : cli::split_csv(opt.schemes)) {
-        const auto scheme_opt = cli::parse_scheme(name);
-        if (!scheme_opt.has_value()) {
-          std::fprintf(stderr, "unknown scheme: %s (try --help)\n", name.c_str());
-          return 2;
-        }
-        const Scheme scheme = *scheme_opt;
-        SchemeOutcome o;
-        o.label = scheme_name(scheme, cfg.counter_mode);
-        const auto t0 = std::chrono::steady_clock::now();
-        o.serving = run_sharded_serving(cfg, scheme, scfg);
-        o.host_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-        std::string crash_note;
-        if (opt.crash) {
-          o.crash_ran = true;
-          ServingCrashOptions sopt;  // random boundary from the seed
-          o.crash = run_serving_crash(cfg, scheme, scfg, sopt);
-          o.crash_pass = verdict_passes(crash_verdict(o.crash, scheme));
-          all_pass = all_pass && o.crash_pass;
-          if (scheme == Scheme::kWriteBack) {
-            crash_note = o.crash_pass ? "unrecoverable (detected, as expected)"
-                                      : "FAIL: WB not detected as unrecoverable";
-          } else if (o.crash_pass) {
-            crash_note = "ok (crash at access " + std::to_string(o.crash.crash_at) +
-                         "/" + std::to_string(o.crash.total_boundaries) + ", " +
-                         std::to_string(o.crash.committed_keys) +
-                         " slots verified)";
-          } else {
-            crash_note = "FAIL: " + o.crash.detail;
-          }
-        }
-        std::printf("%-11s %10.1f %9.0f %9.0f %9.0f %8llu %7.1f %8.3f   %s\n",
-                    o.label.c_str(), o.serving.kops_per_sec,
-                    cycles_to_ns(cfg, o.serving.all_lat.percentile(50)),
-                    cycles_to_ns(cfg, o.serving.all_lat.percentile(99)),
-                    cycles_to_ns(cfg, o.serving.all_lat.percentile(99.9)),
-                    static_cast<unsigned long long>(o.serving.shed_ops),
-                    o.serving.batch_sizes.mean(), o.host_s, crash_note.c_str());
-        print_repro(o);
-        outcomes.push_back(std::move(o));
-      }
-      if (!opt.json_path.empty()) emit_json(opt, cfg, outcomes);
-      if (opt.crash && !all_pass) {
-        std::fprintf(stderr,
-                     "\ncrash-recovery validation FAILED for at least one scheme\n");
-        return 1;
-      }
-      return 0;
-    }
-    std::printf("KV service: mix %s, %u clients, %u controllers, %llu ops over %llu keys\n\n",
-                mix_name(*mix), opt.clients, opt.controllers,
-                static_cast<unsigned long long>(opt.ops),
-                static_cast<unsigned long long>(opt.keys));
-    std::printf("%-11s %10s %9s %9s %9s %9s   %s\n", "scheme", "kops/s", "p50_ns",
-                "p95_ns", "p99_ns", "p99.9_ns", opt.crash ? "crash-recovery" : "");
+    std::printf(
+        "KV serving: mix %s, %u clients, %u shards (%s routing), %llu ops over "
+        "%llu keys, group-commit %llu, queue-depth %llu\n\n",
+        mix_name(*mix), opt.clients, opt.shards, opt.routing.c_str(),
+        static_cast<unsigned long long>(opt.ops), static_cast<unsigned long long>(opt.keys),
+        static_cast<unsigned long long>(opt.group_commit),
+        static_cast<unsigned long long>(opt.queue_depth));
+    std::printf("%-11s %10s %9s %9s %9s %8s %7s %8s   %s\n", "scheme", "kops/s", "p50_ns",
+                "p99_ns", "p99.9_ns", "shed", "batch", "host_s",
+                opt.crash ? "crash-recovery" : "");
     for (const std::string& name : cli::split_csv(opt.schemes)) {
       const auto scheme_opt = cli::parse_scheme(name);
       if (!scheme_opt.has_value()) {
@@ -430,35 +336,32 @@ int main(int argc, char** argv) {
       const Scheme scheme = *scheme_opt;
       SchemeOutcome o;
       o.label = scheme_name(scheme, cfg.counter_mode);
-      o.ycsb = run_ycsb(cfg, scheme, ycfg);
-      std::string crash_note;
+      const auto t0 = std::chrono::steady_clock::now();
+      o.serving = run_sharded_serving(cfg, scheme, scfg);
+      o.host_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+      std::string note;
       if (opt.crash) {
         o.crash_ran = true;
-        o.crash = run_kv_crash_validation(cfg, scheme, ccfg);
-        o.crash_pass = verdict_passes(crash_verdict(o.crash, scheme));
-        all_pass = all_pass && o.crash_pass;
-        if (scheme == Scheme::kWriteBack) {
-          crash_note = o.crash_pass ? "unrecoverable (detected, as expected)"
-                                    : "FAIL: WB not detected as unrecoverable";
-        } else if (o.crash_pass) {
-          crash_note = "ok (killed before persist " + std::to_string(o.crash.crash_at) +
-                       "/" + std::to_string(o.crash.total_boundaries) + ", " +
-                       std::to_string(o.crash.committed_keys) + " keys verified";
-          if (o.crash.recovery_attempts > 1) {
-            crash_note += ", " + std::to_string(o.crash.recovery_attempts) +
-                          " recovery attempts";
-          }
-          crash_note += ")";
-        } else {
-          crash_note = "FAIL: " + o.crash.detail;
-        }
+        o.serving_crash = run_serving_crash(cfg, scheme, scfg, ServingCrashOptions{});
+        o.serving_crash_pass = verdict_passes(crash_verdict(o.serving_crash, scheme));
+        o.kv_crash = run_kv_crash_validation(cfg, scheme, ccfg);
+        o.kv_crash_pass = verdict_passes(crash_verdict(o.kv_crash, scheme));
+        all_pass = all_pass && o.serving_crash_pass && o.kv_crash_pass;
+        note = "serving " +
+               crash_note(o.serving_crash, scheme, o.serving_crash_pass, "crash at access",
+                          "slots") +
+               "; kv " +
+               crash_note(o.kv_crash, scheme, o.kv_crash_pass, "killed before persist", "keys");
       }
-      std::printf("%-11s %10.1f %9.0f %9.0f %9.0f %9.0f   %s\n", o.label.c_str(),
-                  o.ycsb.kops_per_sec, cycles_to_ns(cfg, o.ycsb.all_lat.percentile(50)),
-                  cycles_to_ns(cfg, o.ycsb.all_lat.percentile(95)),
-                  cycles_to_ns(cfg, o.ycsb.all_lat.percentile(99)),
-                  cycles_to_ns(cfg, o.ycsb.all_lat.percentile(99.9)), crash_note.c_str());
-      print_repro(o);
+      std::printf("%-11s %10.1f %9.0f %9.0f %9.0f %8llu %7.1f %8.3f   %s\n", o.label.c_str(),
+                  o.serving.kops_per_sec, cycles_to_ns(cfg, o.serving.all_lat.percentile(50)),
+                  cycles_to_ns(cfg, o.serving.all_lat.percentile(99)),
+                  cycles_to_ns(cfg, o.serving.all_lat.percentile(99.9)),
+                  static_cast<unsigned long long>(o.serving.shed_ops),
+                  o.serving.batch_sizes.mean(), o.host_s, note.c_str());
+      // A failing crash validation prints the line that reproduces it.
+      if (!o.serving_crash_pass) std::fprintf(stderr, "  %s\n", o.serving_crash.repro().c_str());
+      if (!o.kv_crash_pass) std::fprintf(stderr, "  %s\n", o.kv_crash.repro().c_str());
       outcomes.push_back(std::move(o));
     }
   } catch (const std::exception& e) {
@@ -466,7 +369,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!opt.json_path.empty()) emit_json(opt, cfg, outcomes);
+  if (!opt.json_path.empty() && !emit_json(opt, cfg, outcomes)) return 1;
   if (opt.crash && !all_pass) {
     std::fprintf(stderr, "\ncrash-recovery validation FAILED for at least one scheme\n");
     return 1;
