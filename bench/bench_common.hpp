@@ -132,7 +132,7 @@ inline std::string git_commit() {
 
 /// The members every recorded BENCH_*.json opens with: which bench, the
 /// schema version, which clock (`sim` or `host`) its numbers are on, and
-/// where it ran (git commit, compiler, CPU crypto flags, host threads).
+/// where it ran (git commit, compiler, CPU crypto/SIMD flags, host threads).
 /// Ends with ",\n " so the bench's own members follow inside the object.
 inline std::string bench_header(const std::string& bench, const char* clock) {
   return "\"bench\": \"" + bench + "\", \"schema_version\": 1, \"clock\": \"" + clock +
@@ -140,6 +140,7 @@ inline std::string bench_header(const std::string& bench, const char* clock) {
          "\", \"compiler\": \"" + kCompiler + "\", \"cpu_flags\": {\"aes_ni\": " +
          (crypto::cpu_has_aesni() ? "true" : "false") +
          ", \"sha_ni\": " + (crypto::cpu_has_shani() ? "true" : "false") +
+         ", \"avx2\": " + (crypto::cpu_has_avx2() ? "true" : "false") +
          "}, \"host_threads\": " + std::to_string(std::thread::hardware_concurrency()) +
          "},\n ";
 }

@@ -2,15 +2,18 @@
 // simulator models: crypto, counter generation, node codecs, cache access.
 //
 // The crypto benchmarks run once per *available* backend (ref / ttable /
-// hw), pinned per-instance so one process measures every pair. Two modes:
+// hw), pinned per-instance so one process measures every pair; the
+// fast-profile SipHash pad runs once per available kernel. Two modes:
 //
 //   micro_ops [--crypto-backend B] [gbench flags]
 //       full google-benchmark suite (crypto benches per backend)
 //   micro_ops --json FILE
 //       deterministic per-backend throughput measurement of the four crypto
-//       hot paths, written as JSON — the recorded bench trajectory
-//       (BENCH_micro.json at the repo root). Also prints a summary table
-//       with the hw/ttable speedups the README perf table quotes.
+//       hot paths, plus the fast profile's pad per kernel and its data MAC,
+//       written as JSON under the shared bench header on the host clock —
+//       the recorded bench trajectory (BENCH_micro.json at the repo root).
+//       Also prints a summary table with the hw/ttable speedups the README
+//       perf table quotes.
 //
 // Either mode cross-verifies all backends via crypto_self_check() first, so
 // a perf number can never be recorded for a backend that miscomputes.
@@ -23,12 +26,15 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "cache/cache.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/backend.hpp"
 #include "crypto/hmac.hpp"
+#include "crypto/mac.hpp"
 #include "crypto/otp.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sip_pad.hpp"
 #include "crypto/siphash.hpp"
 #include "sit/counter_block.hpp"
 #include "sit/node.hpp"
@@ -40,9 +46,19 @@ namespace {
 
 const Aes128::Key kBenchKey{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
 
+const SipHash24::Key kBenchSipKey{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
+
 std::vector<CryptoBackend> available_backends() {
   std::vector<CryptoBackend> v{CryptoBackend::kRef, CryptoBackend::kTtable};
   if (aes_hw_available()) v.push_back(CryptoBackend::kHw);
+  return v;
+}
+
+std::vector<PadKernel> available_pad_kernels() {
+  std::vector<PadKernel> v;
+  for (PadKernel k : {PadKernel::kScalar, PadKernel::kAvx2}) {
+    if (pad_kernel_available(k)) v.push_back(k);
+  }
   return v;
 }
 
@@ -95,7 +111,23 @@ void BM_OtpPadReal(benchmark::State& state, CryptoBackend b) {
   }
 }
 
+void BM_SipPad8(benchmark::State& state, PadKernel k) {
+  const SipHash24 sip(kBenchSipKey);
+  Block out{};
+  Addr a = 0;
+  std::uint64_t c = 0;
+  for (auto _ : state) {
+    sip_pad8(k, sip, a += 64, ++c, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+
 void register_crypto_benches() {
+  for (PadKernel k : available_pad_kernels()) {
+    benchmark::RegisterBenchmark((std::string("BM_SipPad8/") + pad_kernel_name(k)).c_str(),
+                                 BM_SipPad8, k);
+  }
   for (CryptoBackend b : available_backends()) {
     const std::string suffix = std::string("/") + backend_name(b);
     benchmark::RegisterBenchmark(("BM_AesEncryptBlock" + suffix).c_str(), BM_AesEncryptBlock, b);
@@ -251,6 +283,39 @@ BackendResults measure_backend(CryptoBackend b) {
 
 double mops(double ns_per_op) { return ns_per_op > 0 ? 1e3 / ns_per_op : 0.0; }
 
+// The fast profile (the simulator's default): the 64 B pad per SIMD kernel
+// and the data MAC (SipHash over ciphertext + address + counter + aux).
+struct FastProfileResults {
+  std::vector<std::pair<PadKernel, double>> pad_ns;
+  double data_mac_ns = 0.0;
+};
+
+FastProfileResults measure_fast_profile() {
+  FastProfileResults r;
+  const SipHash24 sip(kBenchSipKey);
+  for (PadKernel k : available_pad_kernels()) {
+    const double ns = measure_ns_per_op([&](std::uint64_t n) {
+      Block out{};
+      Addr a = 0;
+      for (std::uint64_t i = 0; i < n; ++i) {
+        sip_pad8(k, sip, a += 64, i, out.data());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+      }
+    });
+    r.pad_ns.emplace_back(k, ns);
+  }
+  const MacEngine mac(CryptoProfile::kFast, 7);
+  r.data_mac_ns = measure_ns_per_op([&](std::uint64_t n) {
+    Block ct{};
+    for (std::uint64_t i = 0; i < n; ++i) {
+      ct[0] = static_cast<std::uint8_t>(i);
+      benchmark::DoNotOptimize(mac.data_mac(ct, i * kBlockSize, i, 0));
+    }
+  });
+  return r;
+}
+
 int run_json_mode(const std::string& path) {
   const auto backends = available_backends();
   std::vector<BackendResults> results;
@@ -259,6 +324,8 @@ int run_json_mode(const std::string& path) {
     std::printf("measuring backend %-6s ...\n", backend_name(b));
     results.push_back(measure_backend(b));
   }
+  std::printf("measuring fast profile ...\n");
+  const FastProfileResults fast = measure_fast_profile();
 
   const BackendResults* ttable = nullptr;
   const BackendResults* hw = nullptr;
@@ -281,16 +348,17 @@ int run_json_mode(const std::string& path) {
   } else {
     std::printf("\nhw backend unavailable on this machine; no speedup recorded\n");
   }
+  std::printf("\nfast profile: data_mac %.1f ns; otp_pad(64B) per kernel:", fast.data_mac_ns);
+  for (const auto& [k, ns] : fast.pad_ns) std::printf(" %s %.1f ns", pad_kernel_name(k), ns);
+  std::printf(" (hw dispatches to %s)\n", pad_kernel_name(hw_pad_kernel()));
 
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open JSON output %s\n", path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"bench\": \"micro_ops\",\n  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"cpu\": {\"aesni\": %s, \"shani\": %s},\n",
-               cpu_has_aesni() ? "true" : "false", cpu_has_shani() ? "true" : "false");
-  std::fprintf(f, "  \"units\": {\"latency\": \"ns_per_op\", \"throughput\": \"mops\"},\n");
+  std::fprintf(f, "{%s\"units\": {\"latency\": \"ns_per_op\", \"throughput\": \"mops\"},\n",
+               bench::bench_header("micro_ops", "host").c_str());
   std::fprintf(f, "  \"backends\": {\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
@@ -303,6 +371,13 @@ int run_json_mode(const std::string& path) {
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"fast_profile\": {\"otp_pad_ns\": {");
+  for (std::size_t i = 0; i < fast.pad_ns.size(); ++i) {
+    std::fprintf(f, "%s\"%s\": %.2f", i > 0 ? ", " : "", pad_kernel_name(fast.pad_ns[i].first),
+                 fast.pad_ns[i].second);
+  }
+  std::fprintf(f, "}, \"hw_pad_kernel\": \"%s\", \"data_mac_ns\": %.2f},\n",
+               pad_kernel_name(hw_pad_kernel()), fast.data_mac_ns);
   if (ttable != nullptr && hw != nullptr) {
     std::fprintf(f,
                  "  \"speedup_hw_over_ttable\": {\"otp_pad\": %.2f, \"hmac_tag64\": %.2f},\n",

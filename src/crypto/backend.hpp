@@ -6,7 +6,8 @@
 //   kTtable  constexpr T-table AES + scalar SHA-256 (portable fast path)
 //   kHw      AES-NI 4-lane pipelined CTR + SHA-NI compress (hardware path,
 //            CPUID-gated; models the controller-resident AES/SHA engines
-//            that secure-NVM proposals assume)
+//            that secure-NVM proposals assume); the fast profile's SipHash
+//            pad runs the AVX2 kernel when the CPU has it (crypto/sip_pad.hpp)
 //
 // All three are bit-identical by construction: they implement the same
 // FIPS-197 / FIPS 180-4 functions, so switching backends never changes a
@@ -43,6 +44,8 @@ std::optional<CryptoBackend> parse_backend(std::string_view name);
 /// CPUID feature probes (false on non-x86 builds).
 bool cpu_has_aesni();
 bool cpu_has_shani();
+/// AVX2: the CPUID bit and OS support for the ymm registers.
+bool cpu_has_avx2();
 
 /// True when the AES-NI / SHA-NI translation units were compiled with ISA
 /// support AND the CPU reports the feature.
@@ -64,8 +67,9 @@ CryptoBackend set_crypto_backend(CryptoBackend backend);
 bool sha_hw_active();
 
 /// Cross-verify every available backend at startup: FIPS-197 / SP800-38A
-/// AES vectors, the RFC 4231 HMAC case, and pad/tag cross-equality between
-/// backends. Returns false and fills `detail` on any mismatch.
+/// AES vectors, the RFC 4231 HMAC case, pad/tag cross-equality between
+/// backends, and the AVX2 SipHash pad kernel (when available) against the
+/// scalar loop. Returns false and fills `detail` on any mismatch.
 bool crypto_self_check(std::string* detail = nullptr);
 
 /// RAII backend override for tests and per-backend benchmarks.

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/status.hpp"
+#include "crypto/sip_pad.hpp"
 
 namespace steins::crypto {
 
@@ -19,7 +20,7 @@ Aes128::Key key_from_seed(std::uint64_t seed, std::uint64_t domain) {
 
 OtpEngine::OtpEngine(CryptoProfile profile, std::uint64_t key_seed, PadDomain domain,
                      std::optional<CryptoBackend> backend)
-    : profile_(profile), domain_(domain) {
+    : profile_(profile), domain_(domain), backend_(backend) {
   // Domain-separate the OTP key from MAC keys derived from the same seed
   // (and v1 pads from v2 pads: the domain constant is part of the key).
   const std::uint64_t otp_domain = static_cast<std::uint64_t>(domain_);
@@ -64,10 +65,12 @@ Block OtpEngine::pad(Addr addr, std::uint64_t counter) const {
     }
     aes_->encrypt4(out.data());
   } else {
-    for (std::uint64_t i = 0; i < 8; ++i) {
-      const std::uint64_t w = sip_->hash_words(addr + (i << 56), counter);
-      std::memcpy(out.data() + i * 8, &w, 8);
-    }
+    // Eight SipHash words, lane i over (addr + (i << 56), counter). The hw
+    // backend hashes the lanes in lockstep with the AVX2 kernel when the CPU
+    // has it; ref and ttable keep the scalar loop as the reference.
+    const CryptoBackend b = backend_ ? *backend_ : active_backend();
+    const PadKernel kernel = b == CryptoBackend::kHw ? hw_pad_kernel() : PadKernel::kScalar;
+    sip_pad8(kernel, *sip_, addr, counter, out.data());
   }
   return out;
 }

@@ -2,8 +2,9 @@
 //
 // The OTP for a 64 B data block is derived from (secret key, block address,
 // counter): four AES-128 blocks in CTR fashion in the real profile, or eight
-// SipHash words in the fast profile. XORing data with the OTP encrypts;
-// XORing again decrypts.
+// SipHash-2-4 words in the fast profile (computed in lockstep by a SIMD
+// kernel under the hw backend, crypto/sip_pad.hpp). XORing data with the
+// OTP encrypts; XORing again decrypts.
 //
 // Pad-domain versions. Each version pins both the key-derivation domain
 // constant and the CTR input-block layout, so pads from one version can
@@ -41,8 +42,9 @@ enum class PadDomain : std::uint64_t {
 
 class OtpEngine {
  public:
-  /// `backend` pins the AES backend (tests/benchmarks); nullopt follows the
-  /// process-wide registry.
+  /// `backend` pins the backend (tests/benchmarks): the AES backend in the
+  /// real profile, the SipHash pad kernel choice in the fast one. nullopt
+  /// follows the process-wide registry on every call.
   OtpEngine(CryptoProfile profile, std::uint64_t key_seed,
             PadDomain domain = PadDomain::kV2,
             std::optional<CryptoBackend> backend = std::nullopt);
@@ -58,6 +60,7 @@ class OtpEngine {
  private:
   CryptoProfile profile_;
   PadDomain domain_;
+  std::optional<CryptoBackend> backend_;
   std::unique_ptr<Aes128> aes_;
   std::unique_ptr<SipHash24> sip_;
 };

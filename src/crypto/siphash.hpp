@@ -115,6 +115,11 @@ class SipHash24 {
     return s.finalize();
   }
 
+  /// The key as two little-endian words (the SIMD pad kernels rebuild the
+  /// initial state from them).
+  std::uint64_t k0() const { return k0_; }
+  std::uint64_t k1() const { return k1_; }
+
  private:
   detail::SipState init() const {
     return {0x736f6d6570736575ULL ^ k0_, 0x646f72616e646f6dULL ^ k1_,

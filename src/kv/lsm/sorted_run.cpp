@@ -174,23 +174,25 @@ std::optional<RunReader::Found> RunReader::find(System& sys, std::uint64_t key) 
       (it + 1 == index_.end()) ? footer_.data.length : (it + 1)->offset;
 
   // Decode forward with a one-block memo so consecutive entries sharing a
-  // block cost one load.
+  // block cost one load. Entries can straddle blocks, so each one's bytes
+  // are assembled block slice by block slice; the blocks are visited in
+  // address order, so a straddling entry's header block is loaded again
+  // when the memo has moved past it.
   std::uint64_t memo_block = ~std::uint64_t{0};
   Block memo{};
-  const auto byte_at = [&](std::uint64_t off) -> const std::uint8_t* {
-    const std::uint64_t blk = off / kBlockSize;
-    if (blk != memo_block) {
-      memo = sys.load(data_addr() + blk * kBlockSize);
-      memo_block = blk;
-    }
-    return memo.data() + off % kBlockSize;
-  };
-  // Entries can straddle blocks, so assemble each one's bytes explicitly.
   std::string scratch;
   const auto span_at = [&](std::uint64_t off, std::size_t n) -> const std::uint8_t* {
-    scratch.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch.push_back(static_cast<char>(*byte_at(off + i)));
+    scratch.resize(n);
+    for (std::size_t done = 0; done < n;) {
+      const std::uint64_t blk = (off + done) / kBlockSize;
+      if (blk != memo_block) {
+        memo = sys.load(data_addr() + blk * kBlockSize);
+        memo_block = blk;
+      }
+      const std::size_t in_blk = (off + done) % kBlockSize;
+      const std::size_t take = std::min<std::size_t>(n - done, kBlockSize - in_blk);
+      std::memcpy(scratch.data() + done, memo.data() + in_blk, take);
+      done += take;
     }
     return reinterpret_cast<const std::uint8_t*>(scratch.data());
   };

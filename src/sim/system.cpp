@@ -31,10 +31,13 @@ void System::apply_memory_ops(const MemoryOps& ops, bool is_write) {
     mem_->write_block(wb, known != nullptr ? *known : zero_block(), cpu_.now());
   }
   if (ops.miss_fill) {
+    // A store miss fills for ownership only: the controller still fetches,
+    // verifies and times the line, but the plaintext is never used, so it
+    // is not decrypted.
     Block loaded;
     Cycle done;
     try {
-      done = mem_->read_block(ops.fill_addr, cpu_.now(), &loaded);
+      done = mem_->read_block(ops.fill_addr, cpu_.now(), is_write ? nullptr : &loaded);
     } catch (const StatusError&) {
       // Typed unavailability (quarantined/uncorrectable line): evict the
       // just-installed cache line so every later access of the address

@@ -35,8 +35,12 @@ TEST(CryptoBackend, ParseRejectsAutoAndGarbage) {
 TEST(CryptoBackend, HwAvailabilityImpliesCpuFeature) {
   // aes_hw_available() additionally requires that the translation unit was
   // compiled with ISA support, so it can only be a subset of the CPUID bit.
-  if (aes_hw_available()) EXPECT_TRUE(cpu_has_aesni());
-  if (sha_hw_available()) EXPECT_TRUE(cpu_has_shani());
+  if (aes_hw_available()) {
+    EXPECT_TRUE(cpu_has_aesni());
+  }
+  if (sha_hw_available()) {
+    EXPECT_TRUE(cpu_has_shani());
+  }
 }
 
 TEST(CryptoBackend, SetAndScopedOverrideRestore) {

@@ -227,7 +227,9 @@ TEST(KvServing, AdmissionOverflowShedsIntoDegradedVerdicts) {
   std::uint64_t shard_shed = 0;
   for (const ShardServingStats& s : r.shards) {
     shard_shed += s.shed;
-    if (s.shed > 0) EXPECT_TRUE(s.degraded);
+    if (s.shed > 0) {
+      EXPECT_TRUE(s.degraded);
+    }
   }
   EXPECT_EQ(shard_shed, r.shed_ops);
 
