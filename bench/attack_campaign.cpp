@@ -68,9 +68,13 @@ int main(int argc, char** argv) {
                    std::strerror(errno));
       return 1;
     }
-    const std::string json = "{" + bench::bench_header("attack_campaign", "sim") +
-                             "\"attack\": " + result.to_json() +
-                             ",\n\"endurance\": " + endurance_json + "}\n";
+    std::string json = "{";
+    json += bench::bench_header("attack_campaign", "sim");
+    json += "\"attack\": ";
+    json += result.to_json();
+    json += ",\n\"endurance\": ";
+    json += endurance_json;
+    json += "}\n";
     const bool wrote = std::fwrite(json.data(), 1, json.size(), f) == json.size();
     if (std::fclose(f) != 0 || !wrote) {
       std::fprintf(stderr, "error writing JSON output %s: %s\n", opt.json_path.c_str(),

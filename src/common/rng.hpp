@@ -82,10 +82,17 @@ class Xoshiro256 {
 };
 
 /// Zipf-distributed sampler over [0, n) with exponent s, using the
-/// precomputed-CDF method (exact, O(log n) per sample).
+/// precomputed-CDF method (exact). A guide table narrows each sample's
+/// binary search to the CDF entries that can hold its answer: guide_[b] is
+/// the first entry >= b/kGuide (clamped to n-1), so u in [b/kGuide,
+/// (b+1)/kGuide) lands in [guide_[b], guide_[b+1]]. kGuide is a power of
+/// two and u a multiple of 2^-53, so u*kGuide and b/kGuide are exact and
+/// the result equals a search over the whole CDF.
 class ZipfSampler {
  public:
-  ZipfSampler(std::size_t n, double s) : cdf_(n) {
+  static constexpr std::size_t kGuide = std::size_t{1} << 12;
+
+  ZipfSampler(std::size_t n, double s) : cdf_(n), guide_(kGuide + 1) {
     assert(n > 0);
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -93,12 +100,19 @@ class ZipfSampler {
       cdf_[i] = sum;
     }
     for (auto& c : cdf_) c /= sum;
+    std::size_t i = 0;
+    for (std::size_t b = 0; b <= kGuide; ++b) {
+      const double edge = static_cast<double>(b) / static_cast<double>(kGuide);
+      while (i < n - 1 && cdf_[i] < edge) ++i;
+      guide_[b] = i;
+    }
   }
 
   std::size_t sample(Xoshiro256& rng) const {
     const double u = rng.uniform();
-    // Binary search for the first CDF entry >= u.
-    std::size_t lo = 0, hi = cdf_.size() - 1;
+    const auto b = static_cast<std::size_t>(u * static_cast<double>(kGuide));
+    // Binary search for the first CDF entry >= u within the bucket's range.
+    std::size_t lo = guide_[b], hi = guide_[b + 1];
     while (lo < hi) {
       const std::size_t mid = (lo + hi) / 2;
       if (cdf_[mid] < u) {
@@ -111,9 +125,12 @@ class ZipfSampler {
   }
 
   std::size_t size() const { return cdf_.size(); }
+  /// The cumulative distribution sample() inverts (cdf()[n-1] == 1).
+  const std::vector<double>& cdf() const { return cdf_; }
 
  private:
   std::vector<double> cdf_;
+  std::vector<std::size_t> guide_;
 };
 
 }  // namespace steins

@@ -106,6 +106,22 @@ class ShardGang {
   /// (full barrier). Not reentrant; call from one coordinating thread.
   void run_epoch(const std::function<void(std::size_t)>& fn);
 
+  /// The worker that runs `shard`, fixed for the gang's lifetime.
+  unsigned worker_of(std::size_t shard) const {
+    return static_cast<unsigned>(shard % jobs_);
+  }
+
+  /// Run fn(worker) once per worker, each on the thread that owns the shards
+  /// with worker_of(shard) == worker, and wait for all of them: one epoch in
+  /// which a worker walks its shards itself. Same barrier and error contract
+  /// as run_epoch.
+  void run_workers(const std::function<void(unsigned)>& fn) {
+    // Shard w < jobs is the first shard worker w's thread runs.
+    run_epoch([&](std::size_t s) {
+      if (s < jobs_) fn(static_cast<unsigned>(s));
+    });
+  }
+
  private:
   void gang_loop(unsigned worker);
 

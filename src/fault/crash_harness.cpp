@@ -68,7 +68,10 @@ CrashPlan plan_trials(const SystemConfig& base_cfg, Scheme scheme,
     const std::uint64_t key = rng.below(opt.keys);
     const std::uint64_t roll = rng.below(10);
     if (roll < 6) {
-      std::string value = "v" + std::to_string(i) + "k" + std::to_string(key);
+      std::string value = "v";
+      value += std::to_string(i);
+      value += 'k';
+      value += std::to_string(key);
       if (value.size() < opt.value_bytes) value.resize(opt.value_bytes, '.');
       value.resize(std::min(value.size(), spec.max_value_bytes));
       plan.script.push_back({ScriptOp::Kind::kPut, key, std::move(value)});

@@ -19,7 +19,10 @@ std::uint64_t key_of_rank(std::uint64_t rank, std::uint64_t keys) {
 
 std::string make_value(std::uint64_t key, std::uint64_t version,
                        std::size_t value_bytes) {
-  std::string v = "k" + std::to_string(key) + "v" + std::to_string(version);
+  std::string v = "k";
+  v += std::to_string(key);
+  v += 'v';
+  v += std::to_string(version);
   if (v.size() < value_bytes) v.resize(value_bytes, '.');
   v.resize(value_bytes);
   return v;

@@ -45,7 +45,10 @@ void put_word(Block& b, std::size_t offset, std::uint64_t w) {
 /// The value a client writes for (key, version), padded to value_bytes.
 std::string client_value(std::uint64_t key, std::uint64_t version,
                          std::size_t value_bytes) {
-  std::string v = "c" + std::to_string(key) + "." + std::to_string(version);
+  std::string v = "c";
+  v += std::to_string(key);
+  v += '.';
+  v += std::to_string(version);
   if (v.size() < value_bytes) v.resize(value_bytes, '~');
   v.resize(std::min(value_bytes, kMaxValueBytes));
   return v;
@@ -61,20 +64,18 @@ void fnv_fold(std::uint64_t& h, const void* p, std::size_t n) {
   }
 }
 
-/// Epoch-local op index of an epoch's closing group-commit flush: it runs
-/// after every op of the epoch, on behalf of none of them.
+/// Op index of an epoch's closing group-commit flush: it runs after every
+/// op of the epoch, on behalf of none of them.
 constexpr std::uint32_t kClosingFlush = 0xffffffffu;
-constexpr std::uint64_t kNoStop = ~std::uint64_t{0};
+constexpr std::uint64_t kNoLimit = ~std::uint64_t{0};
 constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
 
 /// One resolved access of a shard's schedule. Addresses are LOCAL to the
-/// shard's controller (per-shard layouts bypass the interleave). Its global
-/// sequence number — the crash-boundary granularity — is the first seq of
-/// `op` (a coordinator prefix sum) plus its rank among op's accesses.
+/// shard's controller (per-shard layouts bypass the interleave).
 struct PlannedAccess {
   enum Kind : std::uint8_t { kCommitRead, kRecordRead, kRecordWrite, kCommitWrite };
   Addr addr = 0;
-  std::uint32_t op = kClosingFlush;  // epoch-local op whose resolution emitted it
+  std::uint32_t op = kClosingFlush;  // index into Shard::ops of the op that emitted it
   Kind kind = kRecordWrite;
   bool charged = true;        // service counts toward op's client latency
   std::size_t slot = 0;       // kCommitRead: its slot; kCommitWrite: first slot
@@ -84,25 +85,11 @@ struct PlannedAccess {
   Block data{};               // write image
 };
 
-struct OpPlan {
-  std::uint32_t client = 0;
-  bool is_update = false;
-  bool shed = false;
-};
-
-/// An admitted op handed to its home shard's resolve pass.
+/// An admitted op of the current epoch, kept by its home shard.
 struct ShardOp {
-  std::uint32_t op = 0;  // epoch-local op index
-  bool is_update = false;
+  std::uint64_t op = 0;  // global op index
   std::uint64_t key = 0;
-};
-
-struct Client {
-  Xoshiro256 rng{1};
-  LatencyHistogram read_lat;
-  LatencyHistogram update_lat;
-  std::uint64_t reads = 0;
-  std::uint64_t updates = 0;
+  bool is_update = false;
 };
 
 struct Shard {
@@ -110,23 +97,29 @@ struct Shard {
   std::vector<std::uint64_t> slot_key;   // slot -> key (kNoKey = unused)
   std::vector<std::uint64_t> media;      // commit words as scheduled on media
   std::vector<std::uint64_t> logical;    // media + buffered window
-  std::vector<std::uint64_t> durable;    // commit writes below stop_seq only
+  std::vector<std::uint64_t> durable;    // words of the issued commit writes
   std::vector<char> pending;             // slot has a buffered commit word
   std::vector<std::size_t> pending_slots;
   std::vector<ShardOp> ops;              // this epoch's admitted ops, op order
+  std::vector<Cycle> op_lat;             // per ops entry, charged service
   std::uint64_t batched = 0;             // commit words coalesced, lifetime
-  std::uint64_t closing_accesses = 0;    // this epoch's closing flush size
-  std::uint64_t closing_seq = 0;         // its first global seq
+  std::uint64_t limit = kNoLimit;        // accesses to issue (crash boundary)
+  std::uint64_t issued = 0;              // accesses issued so far
   LatencyHistogram batch_sizes;          // one sample per flushed window
+  LatencyHistogram read_lat;             // cycles, this shard's reads
+  LatencyHistogram update_lat;
+  std::uint64_t reads = 0;
+  std::uint64_t updates = 0;
   ShardServingStats stats;
-  std::vector<PlannedAccess> queue;
+  std::vector<PlannedAccess> queue;      // this epoch's resolved accesses
   Cycle now = 0;
+
+  bool stopped() const { return issued == limit; }
 };
 
 /// Everything a crash harness needs to diff recovery against.
 struct EngineRun {
   ServingResult result;
-  std::uint64_t total_accesses = 0;
   std::vector<std::vector<std::uint64_t>> durable;   // [shard][slot]
   std::vector<std::vector<std::uint64_t>> slot_key;  // [shard][slot]
 };
@@ -226,15 +219,18 @@ void for_each_used_commit_block(const std::vector<std::uint64_t>& words, Fn&& fn
 }
 
 /// The whole engine (phases in serving.hpp and DESIGN.md §18). `mem` ==
-/// nullptr plans only (no memory execution, no preload writes); stop_seq
-/// caps execution at the crash boundary — accesses with seq >= stop_seq are
-/// scheduled but neither issued nor counted as durable.
+/// nullptr plans only (no memory execution, no preload writes). A non-empty
+/// `limits` is a crash run: shard s issues only the first limits[s] accesses
+/// of its schedule, and nothing is measured or read back. `plan`, when set,
+/// records the global access order (ServingSchedule).
 EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
-                     std::uint64_t stop_seq, MultiControllerMemory* mem) {
+                     MultiControllerMemory* mem, const std::vector<std::uint64_t>& limits,
+                     ServingSchedule* plan) {
   validate_serving_config(cfg, scfg);
   KvLayout layout;
   layout.base = scfg.base;
   layout.slots = scfg.slots;
+  const bool measure = mem != nullptr && limits.empty();
 
   const std::vector<std::uint32_t> shard_of = route_keys(scfg);
   std::vector<Shard> shards(scfg.shards);
@@ -280,21 +276,21 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
     lease.note_frontier(t);
   });
   const Cycle start = mem != nullptr ? mem->max_frontier() : 0;
-  for (Shard& sh : shards) sh.now = start;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    shards[s].now = start;
+    if (!limits.empty()) shards[s].limit = limits[s];
+  }
 
-  std::vector<Client> clients(scfg.clients);
-  for (unsigned i = 0; i < scfg.clients; ++i) {
-    clients[i].rng = Xoshiro256(derive_stream_seed(scfg.seed, i));
+  const std::uint64_t epochs = (scfg.ops + scfg.epoch_ops - 1) / scfg.epoch_ops;
+  if (plan != nullptr) {
+    plan->epoch_ops = scfg.epoch_ops;
+    plan->shards = scfg.shards;
+    plan->op_shard.assign(scfg.ops, 0);
+    plan->op_accesses.assign(scfg.ops, 0);
+    plan->closing.assign(epochs * scfg.shards, 0);
   }
   const ZipfSampler sampler(static_cast<std::size_t>(scfg.keys), scfg.zipf_s);
   const double upd_frac = update_fraction(scfg.mix);
-
-  std::uint64_t next_seq = 0;
-  std::vector<OpPlan> plans;
-  // Per epoch-local op: its access count after the resolve pass, then (after
-  // the coordinator's prefix sum) the global seq of its first access.
-  std::vector<std::uint64_t> op_seq;
-  std::vector<Cycle> op_lat;
 
   // Flush a shard's group-commit window: one commit-block write per dirty
   // block (ascending), image materialized from the logical words. The
@@ -328,13 +324,15 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
     sh.pending_slots.clear();
   };
 
-  // Resolve one shard's admitted ops into its access queue, closing with the
-  // epoch's flush (an epoch boundary is a durability point). Reads and
-  // writes only this shard's state plus its ops' op_seq entries.
-  const auto resolve = [&](std::size_t s) {
+  // Resolve one shard's admitted ops of `epoch` into its access queue,
+  // closing with the epoch's flush (an epoch boundary is a durability
+  // point). Reads and writes only this shard's state plus its ops' entries
+  // of the plan.
+  const auto resolve = [&](std::size_t s, std::uint64_t epoch) {
     Shard& sh = shards[s];
     sh.queue.clear();
-    for (const ShardOp& o : sh.ops) {
+    for (std::uint32_t i = 0; i < sh.ops.size(); ++i) {
+      const ShardOp& o = sh.ops[i];
       const std::size_t emitted_before = sh.queue.size();
       const std::size_t slot = slot_of[o.key];
       const CommitWord word = CommitWord::decode(sh.logical[slot]);
@@ -347,7 +345,7 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
         // the replica the DURABLE commit word still points at. Force the
         // window out first so the two-replica invariant holds at every
         // crash boundary.
-        flush_window(sh, o.op, false);
+        flush_window(sh, i, false);
       }
 
       if (!sh.pending[slot]) {
@@ -356,7 +354,7 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
         // commit coalescing win on the read path).
         PlannedAccess commit_read;
         commit_read.addr = layout.commit_block_addr(slot);
-        commit_read.op = o.op;
+        commit_read.op = i;
         commit_read.kind = PlannedAccess::kCommitRead;
         commit_read.slot = slot;
         commit_read.expect_word = sh.media[slot];
@@ -369,7 +367,7 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
       if (!o.is_update || scfg.mix == Mix::kF) {
         PlannedAccess rec_read;
         rec_read.addr = layout.record_addr(slot, cur.replica);
-        rec_read.op = o.op;
+        rec_read.op = i;
         rec_read.kind = PlannedAccess::kRecordRead;
         rec_read.expect_key = o.key;
         rec_read.expect_version = cur.version;
@@ -379,7 +377,7 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
         const int replica = 1 - cur.replica;
         PlannedAccess rec_write;
         rec_write.addr = layout.record_addr(slot, replica);
-        rec_write.op = o.op;
+        rec_write.op = i;
         rec_write.kind = PlannedAccess::kRecordWrite;
         rec_write.data = record_image(o.key, cur.version + 1, scfg.value_bytes);
         sh.queue.push_back(std::move(rec_write));
@@ -388,35 +386,37 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
         sh.pending[slot] = 1;
         sh.pending_slots.push_back(slot);
         if (scfg.group_commit_window == 0) {
-          flush_window(sh, o.op, true);  // batch of 1: the op owns its commit write
+          flush_window(sh, i, true);  // batch of 1: the op owns its commit write
         } else if (sh.pending_slots.size() >= scfg.group_commit_window) {
-          flush_window(sh, o.op, false);
+          flush_window(sh, i, false);
         }
       }
-      op_seq[o.op] = sh.queue.size() - emitted_before;
+      if (plan != nullptr) {
+        plan->op_accesses[o.op] = static_cast<std::uint32_t>(sh.queue.size() - emitted_before);
+      }
     }
     const std::size_t emitted_before = sh.queue.size();
     flush_window(sh, kClosingFlush, false);
-    sh.closing_accesses = sh.queue.size() - emitted_before;
+    if (plan != nullptr) {
+      plan->closing[epoch * scfg.shards + s] =
+          static_cast<std::uint32_t>(sh.queue.size() - emitted_before);
+    }
   };
 
-  // Replay one shard's queue prefix below stop_seq on its own controller,
-  // validating every read against the schedule; commit-block writes in that
-  // prefix are the durable state a crash at stop_seq leaves behind. With no
-  // controller (planning only) the durable bookkeeping runs alone.
+  // Replay one shard's queue, up to its access limit, on its own controller,
+  // validating every read against the schedule; the commit-block writes it
+  // issues are the durable state a crash leaves behind. With no controller
+  // (planning only) the durable bookkeeping runs alone.
   const auto replay = [&](std::size_t s) {
     Shard& sh = shards[s];
     std::optional<MultiControllerMemory::ShardLease> lease;
     if (mem != nullptr) lease.emplace(*mem, static_cast<unsigned>(s));
     SecureMemory* ctrl = lease ? &lease->mem() : nullptr;
+    sh.op_lat.assign(sh.ops.size(), 0);
     Cycle now = sh.now;
-    std::uint64_t seq = 0;
-    for (std::size_t i = 0; i < sh.queue.size(); ++i) {
-      const PlannedAccess& a = sh.queue[i];
-      if (i == 0 || a.op != sh.queue[i - 1].op) {
-        seq = a.op == kClosingFlush ? sh.closing_seq : op_seq[a.op];
-      }
-      if (seq++ >= stop_seq) break;
+    for (const PlannedAccess& a : sh.queue) {
+      if (sh.stopped()) break;
+      ++sh.issued;
       if (a.kind == PlannedAccess::kCommitWrite) {
         const std::size_t n = std::min(KvLayout::kWordsPerCommitBlock, scfg.slots - a.slot);
         for (std::size_t w = 0; w < n; ++w) sh.durable[a.slot + w] = word_at(a.data, w * 8);
@@ -441,93 +441,86 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
           }
         }
       }
-      if (a.charged) op_lat[a.op] += done - now;
+      if (a.charged) sh.op_lat[a.op] += done - now;
       now = done;
     }
     sh.now = now;
     if (lease) lease->note_frontier(now);
+    // File each op's latency in its shard's histograms. Uncharged flushes
+    // count toward makespan and the flush columns, not toward any op.
+    if (!measure) return;
+    for (std::size_t i = 0; i < sh.ops.size(); ++i) {
+      if (sh.ops[i].is_update) {
+        sh.update_lat.add(sh.op_lat[i]);
+        ++sh.updates;
+      } else {
+        sh.read_lat.add(sh.op_lat[i]);
+        ++sh.reads;
+      }
+    }
   };
+
+  // Serve: each worker walks the whole op stream once, in global op order,
+  // on its own copy of the client RNG streams, keeps the ops routed to its
+  // shards, and resolves and replays each epoch for them at once. Workers
+  // share nothing mutable, so no barrier separates epochs.
+  gang.run_workers([&](unsigned worker) {
+    std::vector<Xoshiro256> rngs;
+    rngs.reserve(scfg.clients);
+    for (unsigned i = 0; i < scfg.clients; ++i) {
+      rngs.emplace_back(derive_stream_seed(scfg.seed, i));
+    }
+    std::vector<std::size_t> mine;
+    std::vector<char> owned(scfg.shards, 0);
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      if (gang.worker_of(s) != worker) continue;
+      mine.push_back(s);
+      owned[s] = 1;
+    }
+    for (std::uint64_t epoch = 0; epoch < epochs; ++epoch) {
+      const std::uint64_t first = epoch * scfg.epoch_ops;
+      const std::uint64_t end = std::min(first + scfg.epoch_ops, scfg.ops);
+      for (const std::size_t s : mine) shards[s].ops.clear();
+      for (std::uint64_t op = first; op < end; ++op) {
+        Xoshiro256& rng = rngs[op % scfg.clients];
+        const std::uint64_t rank = sampler.sample(rng);
+        const std::uint64_t key = (rank * 0x9e3779b97f4a7c15ULL) % scfg.keys;
+        const bool is_update = upd_frac > 0.0 && rng.chance(upd_frac);
+        const std::uint32_t s = shard_of[key];
+        if (!owned[s]) continue;
+        Shard& sh = shards[s];
+        if (plan != nullptr) plan->op_shard[op] = s;
+
+        // Bounded admission: overload sheds the op into a typed degraded
+        // verdict. The client RNG was already advanced identically, so the
+        // rest of the schedule is unchanged by the shed.
+        if (scfg.queue_depth != 0 && sh.ops.size() >= scfg.queue_depth) {
+          ++sh.stats.shed;
+          sh.stats.degraded = true;
+          continue;
+        }
+        ++sh.stats.ops;
+        sh.ops.push_back(ShardOp{op, key, is_update});
+      }
+      bool all_stopped = true;
+      for (const std::size_t s : mine) {
+        if (shards[s].stopped()) continue;
+        resolve(s, epoch);
+        replay(s);
+        all_stopped = all_stopped && shards[s].stopped();
+      }
+      // Past a crash boundary nothing further executes or becomes durable.
+      if (all_stopped) break;
+    }
+  });
 
   ServingResult res;
   res.offered_ops = scfg.ops;
-  for (std::uint64_t done_ops = 0; done_ops < scfg.ops;) {
-    const std::uint64_t epoch_ops = std::min(scfg.epoch_ops, scfg.ops - done_ops);
-    plans.clear();
-    for (Shard& sh : shards) sh.ops.clear();
-
-    // Draw every op in global op order: client RNG, routing, admission.
-    for (std::uint64_t e = 0; e < epoch_ops; ++e) {
-      const auto op_idx = static_cast<std::uint32_t>(e);
-      const auto cid = static_cast<std::uint32_t>((done_ops + e) % scfg.clients);
-      Client& c = clients[cid];
-      const std::uint64_t rank = sampler.sample(c.rng);
-      const std::uint64_t key = (rank * 0x9e3779b97f4a7c15ULL) % scfg.keys;
-      const bool is_update = upd_frac > 0.0 && c.rng.chance(upd_frac);
-      Shard& sh = shards[shard_of[key]];
-
-      // Bounded admission: overload sheds the op into a typed degraded
-      // verdict. The client RNG was already advanced identically, so the
-      // rest of the schedule is unchanged by the shed.
-      if (scfg.queue_depth != 0 && sh.ops.size() >= scfg.queue_depth) {
-        ++sh.stats.shed;
-        sh.stats.degraded = true;
-        plans.push_back(OpPlan{cid, is_update, true});
-        continue;
-      }
-      ++sh.stats.ops;
-      plans.push_back(OpPlan{cid, is_update, false});
-      sh.ops.push_back(ShardOp{op_idx, is_update, key});
-    }
-
-    // Resolve per shard, then turn per-op access counts into global seqs:
-    // ops in global op order, then the closing flushes in shard order.
-    op_seq.assign(epoch_ops, 0);
-    gang.run_epoch(resolve);
-    for (std::uint64_t e = 0; e < epoch_ops; ++e) {
-      const std::uint64_t n = op_seq[e];
-      op_seq[e] = next_seq;
-      next_seq += n;
-    }
-    for (Shard& sh : shards) {
-      sh.closing_seq = next_seq;
-      next_seq += sh.closing_accesses;
-    }
-
-    op_lat.assign(epoch_ops, 0);
-    gang.run_epoch(replay);
-
-    // Epoch barrier: fold op latencies into per-client histograms in global
-    // op order. Uncharged flushes contribute to makespan and the flush
-    // columns, not to any single client's latency.
-    if (mem != nullptr && stop_seq == kNoStop) {
-      for (std::uint64_t e = 0; e < epoch_ops; ++e) {
-        if (plans[e].shed) continue;
-        Client& c = clients[plans[e].client];
-        if (plans[e].is_update) {
-          c.update_lat.add(op_lat[e]);
-          ++c.updates;
-        } else {
-          c.read_lat.add(op_lat[e]);
-          ++c.reads;
-        }
-      }
-    }
-    done_ops += epoch_ops;
-    // Past the crash boundary nothing further executes; keep scheduling
-    // only if durable bookkeeping could still change (it cannot).
-    if (stop_seq != kNoStop && next_seq >= stop_seq) break;
-  }
-
-  for (const Client& c : clients) {
-    res.read_lat.merge(c.read_lat);
-    res.update_lat.merge(c.update_lat);
-    res.reads += c.reads;
-    res.updates += c.updates;
-  }
-  res.all_lat.merge(res.read_lat);
-  res.all_lat.merge(res.update_lat);
-  res.ops = res.reads + res.updates;
   for (Shard& sh : shards) {
+    res.read_lat.merge(sh.read_lat);
+    res.update_lat.merge(sh.update_lat);
+    res.reads += sh.reads;
+    res.updates += sh.updates;
     res.batch_sizes.merge(sh.batch_sizes);
     res.shed_ops += sh.stats.shed;
     if (sh.stats.degraded) ++res.degraded_shards;
@@ -539,6 +532,9 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
             ? static_cast<double>(sh.batched) / static_cast<double>(sh.stats.commit_flushes)
             : 0.0;
   }
+  res.all_lat.merge(res.read_lat);
+  res.all_lat.merge(res.update_lat);
+  res.ops = res.reads + res.updates;
   for (Shard& sh : shards) {
     sh.stats.occupancy = res.makespan
                              ? static_cast<double>(sh.stats.busy) /
@@ -555,7 +551,7 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
   // on its own worker and checks them byte for byte against the schedule
   // shadow. The digest then folds that verified shadow in shard order, so
   // it is the digest of the media image without buffering it.
-  if (mem != nullptr && stop_seq == kNoStop) {
+  if (measure) {
     gang.run_epoch([&](std::size_t s) {
       const Shard& sh = shards[s];
       MultiControllerMemory::ShardLease lease(*mem, static_cast<unsigned>(s));
@@ -597,7 +593,6 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
 
   EngineRun run;
   run.result = std::move(res);
-  run.total_accesses = next_seq;
   for (Shard& sh : shards) {
     run.durable.push_back(std::move(sh.durable));
     run.slot_key.push_back(std::move(sh.slot_key));
@@ -607,17 +602,47 @@ EngineRun run_engine(const SystemConfig& cfg, const ServingConfig& scfg,
 
 }  // namespace
 
+std::uint64_t ServingSchedule::total_accesses() const {
+  std::uint64_t total = 0;
+  for (const std::uint32_t n : op_accesses) total += n;
+  for (const std::uint32_t n : closing) total += n;
+  return total;
+}
+
+std::vector<std::uint64_t> ServingSchedule::shard_limits(std::uint64_t boundary) const {
+  std::vector<std::uint64_t> limit(shards, 0);
+  std::uint64_t left = boundary;
+  const auto take = [&](std::size_t shard, std::uint64_t n) {
+    const std::uint64_t k = std::min(n, left);
+    limit[shard] += k;
+    left -= k;
+  };
+  for (std::uint64_t first = 0; first < op_shard.size() && left > 0; first += epoch_ops) {
+    const std::uint64_t end = std::min<std::uint64_t>(first + epoch_ops, op_shard.size());
+    for (std::uint64_t op = first; op < end; ++op) take(op_shard[op], op_accesses[op]);
+    const std::size_t epoch = first / epoch_ops;
+    for (std::size_t s = 0; s < shards; ++s) take(s, closing[epoch * shards + s]);
+  }
+  return limit;
+}
+
 ServingResult run_sharded_serving(const SystemConfig& cfg, Scheme scheme,
                                   const ServingConfig& scfg) {
   validate_serving_config(cfg, scfg);
   MultiControllerMemory mem(cfg, scheme, scfg.shards);
-  return run_engine(cfg, scfg, kNoStop, &mem).result;
+  return run_engine(cfg, scfg, &mem, {}, nullptr).result;
+}
+
+ServingSchedule plan_serving(const SystemConfig& cfg, const ServingConfig& scfg) {
+  ServingSchedule plan;
+  run_engine(cfg, scfg, nullptr, {}, &plan);
+  return plan;
 }
 
 std::uint64_t count_serving_accesses(const SystemConfig& cfg, Scheme scheme,
                                      const ServingConfig& scfg) {
   (void)scheme;  // the schedule is scheme-independent
-  return run_engine(cfg, scfg, kNoStop, nullptr).total_accesses;
+  return plan_serving(cfg, scfg).total_accesses();
 }
 
 CrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
@@ -629,7 +654,8 @@ CrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
   rep.fault_class = opt.fault_class;
   rep.fault_seed = opt.fault_seed;
   validate_serving_config(cfg, scfg);
-  rep.total_boundaries = count_serving_accesses(cfg, scheme, scfg);
+  const ServingSchedule plan = plan_serving(cfg, scfg);
+  rep.total_boundaries = plan.total_accesses();
   if (opt.crash_at == ServingCrashOptions::kRandomBoundary) {
     Xoshiro256 rng(derive_stream_seed(scfg.seed, 0xC2A54ULL));
     rep.crash_at = rng.below(rep.total_boundaries + 1);
@@ -638,7 +664,7 @@ CrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
   }
 
   MultiControllerMemory mem(cfg, scheme, scfg.shards);
-  EngineRun run = run_engine(cfg, scfg, rep.crash_at, &mem);
+  EngineRun run = run_engine(cfg, scfg, &mem, plan.shard_limits(rep.crash_at), nullptr);
   rep.durable_digest = kFnvOffsetBasis;
   for (const std::vector<std::uint64_t>& words : run.durable) {
     fnv_fold(rep.durable_digest, words.data(), words.size() * sizeof(std::uint64_t));

@@ -12,40 +12,34 @@
 // op's latency is the sum of its accesses' service times, queueing
 // included, and the makespan is the busiest shard's span.
 //
-// Every per-shard phase runs on the ShardGang (DESIGN.md §18). A worker
-// touches only its own shard's controller and shadow state; the calling
-// thread (the coordinator) only draws, sums and merges:
+// Every per-shard phase runs on the ShardGang (DESIGN.md §18), in three
+// gang passes per run. A worker touches only its own shards' controllers
+// and shadow state; the calling thread only merges at the end:
 //
-//  1. Preload (gang, once): each shard assigns its keys' slots by linear
-//     probing in ascending key order, writes their records and commit
-//     blocks on its own timeline, and sets its frontier.
-//  2. Draw (coordinator, per epoch): per-client RNG streams draw each op's
-//     Zipf rank, key and update coin in global op order; the router maps
-//     the key to its home shard, and per-shard bounded admission queues
-//     shed overload into typed degraded verdicts.
-//  3. Resolve (gang): each shard turns its admitted ops, in op order, into
-//     its access queue — commit and record reads, record writes, forced
-//     and window group-commit flushes — then closes the epoch with its
-//     window flush. Every access is tagged with the op that emitted it.
-//  4. Sequence (coordinator): a prefix sum over per-op access counts gives
-//     each access its global sequence number: ops in global op order, then
-//     the closing flushes in shard order — the order a single thread
-//     resolving op after op would have emitted them in.
-//  5. Replay (gang): each shard issues its queue prefix below the crash
-//     boundary on its own controller, checks every read against the
-//     schedule, and takes the commit-block writes of that prefix as its
-//     durable state. Per-client latency histograms merge at the barrier in
-//     global op order.
-//  6. Readback (gang, once): each shard reads its final image back and
-//     checks it byte for byte against the schedule shadow; the FNV-1a
-//     image digest then folds that verified shadow in shard order.
+//  1. Preload (gang): each shard assigns its keys' slots by linear probing
+//     in ascending key order, writes their records and commit blocks on its
+//     own timeline, and sets its frontier. Serving starts at the busiest
+//     shard's preload frontier.
+//  2. Serve (one pass per worker, no barrier between epochs): each worker
+//     copies the per-client RNG streams and draws every op of an epoch in
+//     global op order (Zipf rank, key, update coin), routes the key to its
+//     home shard, and keeps the ops of the shards it owns; per-shard
+//     bounded admission queues shed overload into typed degraded verdicts.
+//     Then, for each of its shards, it resolves the epoch's ops, in op
+//     order, into an access queue (commit and record reads, record writes,
+//     forced and window group-commit flushes, then the epoch's closing
+//     window flush) and replays that queue on the shard's controller,
+//     checking every read against the schedule. Op latencies go into
+//     per-shard histograms.
+//  3. Readback (gang): each shard reads its final image back and checks it
+//     byte for byte against the schedule shadow; the FNV-1a image digest
+//     then folds that verified shadow in shard order.
 //
-// Any jobs value is bit-identical: the draw and the seq prefix sum are
-// sequential and order-fixed; a shard's resolve, replay and readback read
-// and write only that shard's state (plus the op_seq / latency entries of
-// its own ops), so which thread runs it, and when, cannot change a bit;
-// merges (batch-size histograms, latencies, digest) run in a fixed order
-// over integer data.
+// Any jobs value is bit-identical: every worker draws the same op stream,
+// and a shard's ops, resolution, replay and readback read and write only
+// that shard's state, so which thread runs a shard, and when, cannot change
+// a bit. The end-of-run merges (latency and batch-size histograms, counts,
+// digest) run in shard order over integer data, which merges commutatively.
 //
 // Group commit (paper §IV-B spirit — SecPM-style write coalescing applied
 // at the serving layer): within a window, an update writes its record
@@ -62,13 +56,16 @@
 // (descending popularity, capacity-guarded), which evens out per-shard
 // occupancy when the hot set would otherwise pile onto one DIMM.
 //
-// Crash validation (run_serving_crash): the global access sequence makes
-// "crash at access boundary K" jobs-independent — each shard executes
-// exactly its queue prefix below K, ADR drains every issued write, and
-// recovery is diffed against the durable commit state the replay pass
-// took from commit writes below K. Zero silent corruption is the
-// acceptance bar for every scheme (write-back passes by being detected as
-// unrecoverable).
+// Crash validation (run_serving_crash): a crash boundary K counts accesses
+// in the one global order a single thread resolving op after op would
+// emit — per epoch, every op's accesses in global op order, then each
+// shard's closing flush in shard order. Only crash runs need that order:
+// a planning run records it (ServingSchedule), the schedule turns K into
+// per-shard access limits, and the crash run has each shard issue exactly
+// its first limit accesses; ADR drains every issued write, and recovery is diffed
+// against the commit-block writes that were issued. Zero silent corruption
+// is the acceptance bar for every scheme (write-back passes by being
+// detected as unrecoverable).
 #pragma once
 
 #include <cstdint>
@@ -173,8 +170,9 @@ struct ServingCrashOptions {
   std::uint64_t fault_seed = 0;
 };
 
-/// Plan the full run once to learn the access count, then re-run it with
-/// the crash injected at the chosen boundary, recover every controller
+/// Plan the full run once (plan_serving) to learn the access count and the
+/// global order, then re-run it with every shard stopped at its share of
+/// the chosen boundary (ServingSchedule::shard_limits), recover every controller
 /// (in parallel when scfg.jobs > 1 — bit-identical), and diff the
 /// recovered image against the durable commit state. The report counts
 /// boundaries in global accesses (total_boundaries), committed keys in
@@ -183,6 +181,26 @@ struct ServingCrashOptions {
 CrashReport run_serving_crash(const SystemConfig& cfg, Scheme scheme,
                                      const ServingConfig& scfg,
                                      const ServingCrashOptions& opt);
+
+/// The global access order of a serving run: per epoch of epoch_ops ops,
+/// every op's accesses in global op order, then each shard's closing flush
+/// in shard order. Crash boundaries count accesses in this order.
+struct ServingSchedule {
+  std::uint64_t epoch_ops = 0;
+  std::size_t shards = 0;
+  std::vector<std::uint32_t> op_shard;     // [op] home shard
+  std::vector<std::uint32_t> op_accesses;  // [op] accesses it emitted (0 when shed)
+  std::vector<std::uint32_t> closing;      // [epoch * shards + shard] closing flush
+
+  std::uint64_t total_accesses() const;
+  /// Accesses each shard issues in a crash at global boundary K: those of
+  /// its own accesses that come before K in the global order.
+  std::vector<std::uint64_t> shard_limits(std::uint64_t boundary) const;
+};
+
+/// Resolve the whole schedule without executing it (no memory) and record
+/// its global access order.
+ServingSchedule plan_serving(const SystemConfig& cfg, const ServingConfig& scfg);
 
 /// Total planned accesses for a serving configuration (schedule resolution
 /// only, no memory execution) — lets sweeps choose crash strides cheaply.

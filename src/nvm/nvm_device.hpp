@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -299,7 +300,12 @@ class NvmDevice {
       return p;
     }
 
+    /// Growth holds the old and the new arrays at once. It is serialized
+    /// process-wide so that tables of controllers served in parallel do not
+    /// stack those transient peaks onto the process's peak RSS.
     void grow() {
+      static std::mutex grow_mu;
+      const std::lock_guard<std::mutex> lock(grow_mu);
       const std::size_t cap = (mask_ + 1) * 2;
       std::vector<std::uint64_t> keys(cap, 0);
       Line* entries = alloc(cap);

@@ -4,6 +4,8 @@
 // and golden values from the retired interleaved YCSB driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -343,6 +345,71 @@ TEST(KvServing, MatchesSequentialEngineGoldenValues) {
       EXPECT_FALSE(rep.salvaged) << at;
       EXPECT_TRUE(crash_passes(rep, Scheme::kSteins)) << at << ": " << rep.detail;
     }
+  }
+}
+
+TEST(KvServing, CrashBoundaryMappingMatchesEpochBarrierEngine) {
+  // Pins which commit writes fall below each crash boundary, i.e. how a
+  // global boundary K maps onto per-shard access limits. The value was
+  // recorded from the engine that resolved each epoch on every shard,
+  // numbered accesses with a coordinator prefix sum and replayed each
+  // shard up to K. It folds (durable digest, committed keys) over every
+  // 97th boundary plus every boundary inside or at the edge of an epoch's
+  // closing flushes, where the shard-order tail of an epoch is decided.
+  const SystemConfig cfg = small_config();
+  ServingConfig scfg = small_serving(4);
+  scfg.group_commit_window = 64;
+  const ServingSchedule plan = plan_serving(cfg, scfg);
+  const std::uint64_t total = plan.total_accesses();
+  ASSERT_EQ(total, 13960u);
+  std::set<std::uint64_t> boundaries;
+  for (std::uint64_t k = 0; k <= total; k += 97) boundaries.insert(k);
+  // Walk the documented global order: each epoch's ops, then its closing
+  // flushes in shard order.
+  std::uint64_t seq = 0;
+  for (std::uint64_t first = 0; first < scfg.ops; first += scfg.epoch_ops) {
+    const std::uint64_t end = std::min(first + scfg.epoch_ops, scfg.ops);
+    for (std::uint64_t op = first; op < end; ++op) seq += plan.op_accesses[op];
+    for (std::size_t s = 0; s < plan.shards; ++s) {
+      const std::uint32_t n = plan.closing[first / scfg.epoch_ops * plan.shards + s];
+      for (std::uint64_t k = seq; k <= seq + n; ++k) boundaries.insert(k);
+      seq += n;
+    }
+  }
+  ASSERT_EQ(seq, total);
+  for (const unsigned jobs : {1u, 4u}) {
+    scfg.jobs = jobs;
+    std::uint64_t fold = 1469598103934665603ULL;
+    const auto fold_word = [&](std::uint64_t v) {
+      for (int i = 0; i < 8; ++i) {
+        fold ^= (v >> (8 * i)) & 0xff;
+        fold *= 1099511628211ULL;
+      }
+    };
+    for (const std::uint64_t k : boundaries) {
+      ServingCrashOptions opt;
+      opt.crash_at = k;
+      const CrashReport rep = run_serving_crash(cfg, Scheme::kSteins, scfg, opt);
+      fold_word(rep.durable_digest);
+      fold_word(rep.committed_keys);
+    }
+    EXPECT_EQ(fold, 0x521a146a27640c30ULL) << "jobs=" << jobs;
+  }
+}
+
+TEST(KvServing, SheddingJobsSweepIsBitIdentical) {
+  // Admission is decided per shard by the worker that owns it; shedding
+  // must not make results depend on how shards map onto workers.
+  const SystemConfig cfg = small_config();
+  ServingConfig scfg = small_serving(4);
+  scfg.queue_depth = 48;
+  scfg.jobs = 1;
+  const ServingResult ref = run_sharded_serving(cfg, Scheme::kSteins, scfg);
+  ASSERT_GT(ref.shed_ops, 0u);
+  for (const unsigned jobs : {2u, 3u, 4u}) {
+    scfg.jobs = jobs;
+    const ServingResult got = run_sharded_serving(cfg, Scheme::kSteins, scfg);
+    expect_identical(ref, got, "queue_depth=48 jobs=" + std::to_string(jobs));
   }
 }
 

@@ -1,6 +1,8 @@
 // Deterministic RNG and samplers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -76,6 +78,32 @@ TEST(ZipfSampler, CoversWholeRange) {
     ++counts[s];
   }
   for (const int c : counts) EXPECT_GT(c, 0);
+}
+
+TEST(ZipfSampler, GuideTableMatchesFullRangeSearch) {
+  // The guide table only narrows the search; every draw must equal the
+  // first CDF entry >= u over the whole CDF (n - 1 when none is).
+  struct Case {
+    std::size_t n;
+    double s;
+  };
+  for (const Case c : {Case{1, 0.99}, Case{7, 0.5}, Case{4096, 1.0},
+                       Case{120000, 0.99}, Case{50001, 1.3}}) {
+    const ZipfSampler zipf(c.n, c.s);
+    const std::vector<double>& cdf = zipf.cdf();
+    ASSERT_EQ(cdf.size(), c.n);
+    Xoshiro256 rng(c.n * 31 + 7);
+    Xoshiro256 ref_rng = rng;
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 1'000'000; ++i) {
+      const std::size_t got = zipf.sample(rng);
+      const double u = ref_rng.uniform();
+      const auto first = static_cast<std::size_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      if (got != std::min(first, c.n - 1)) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << "n=" << c.n << " s=" << c.s;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -87,6 +88,27 @@ TEST(ThreadPool, WorkersKnowTheyArePoolWorkers) {
   inline_gang.run_epoch([&](std::size_t s) { seen[s] = ThreadPool::on_worker_thread() ? 1 : 0; });
   EXPECT_EQ(seen[0], 0);
   EXPECT_EQ(seen[1], 0);
+}
+
+TEST(ThreadPool, ShardGangRunsEachWorkerOnceOnItsShardsThread) {
+  // run_workers hands worker w the thread that runs its shards, so a
+  // worker can walk every shard with worker_of(shard) == w itself.
+  for (const unsigned jobs : {1u, 2u, 3u}) {
+    ShardGang gang(5, jobs);
+    std::vector<std::thread::id> shard_thread(5);
+    gang.run_epoch([&](std::size_t s) { shard_thread[s] = std::this_thread::get_id(); });
+    std::vector<int> calls(gang.jobs(), 0);
+    std::vector<std::thread::id> worker_thread(gang.jobs());
+    gang.run_workers([&](unsigned w) {
+      ++calls[w];
+      worker_thread[w] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(calls, std::vector<int>(gang.jobs(), 1)) << "jobs=" << jobs;
+    for (std::size_t s = 0; s < 5; ++s) {
+      EXPECT_EQ(shard_thread[s], worker_thread[gang.worker_of(s)])
+          << "jobs=" << jobs << " shard " << s;
+    }
+  }
 }
 
 TEST(ThreadPool, DefaultJobsHonoursEnv) {
